@@ -126,41 +126,56 @@ class KvLedger:
         self.admitted = 0
         self.released = 0
         self.rejected = 0
+        # Share geometry is fixed for the ledger's lifetime, so every
+        # check below is O(1): byte floors/ceilings, the room each tenant
+        # has on an idle system, and running totals over the tenant dicts.
+        self._capacity_bytes = total = capacity.total_bytes
+        self._floor: Dict[str, int] = {}
+        self._ceiling: Dict[str, int] = {}
+        for name in self.reserved:
+            part = self.arbiter.partitions.get(name)
+            self._floor[name] = int(part.min_share * total) if part else 0
+            self._ceiling[name] = int((part.max_share if part else 1.0)
+                                      * total)
+        floor_sum = sum(self._floor.values())
+        self._idle_room = {
+            name: min(self._ceiling[name],
+                      total - (floor_sum - self._floor[name]))
+            for name in self.reserved}
+        self._total_reserved = 0
+        self._total_resident = 0
+        # Sum over tenants of the unreserved part of each floor.
+        self._unused_floors = floor_sum
 
     # -- share geometry -------------------------------------------------------
-
-    def _floor_bytes(self, name: str) -> int:
-        part = self.arbiter.partitions.get(name)
-        return int(part.min_share * self.capacity.total_bytes) if part else 0
-
-    def _ceiling_bytes(self, name: str) -> int:
-        part = self.arbiter.partitions.get(name)
-        share = part.max_share if part else 1.0
-        return int(share * self.capacity.total_bytes)
 
     def _available_to(self, name: str) -> int:
         """Free bytes ``name`` may claim: global free space minus the
         unused part of every *other* tenant's guaranteed floor."""
-        if name not in self.reserved:
+        reserved = self.reserved.get(name)
+        if reserved is None:
             raise SchedulingError(f"unknown tenant {name!r}")
-        free = self.capacity.total_bytes - sum(self.reserved.values())
-        held_floors = sum(
-            max(0, self._floor_bytes(other) - used)
-            for other, used in self.reserved.items() if other != name
-        )
-        tenant_room = self._ceiling_bytes(name) - self.reserved[name]
+        free = self._capacity_bytes - self._total_reserved
+        held_floors = (self._unused_floors
+                       - max(0, self._floor[name] - reserved))
+        tenant_room = self._ceiling[name] - reserved
         return max(0, min(free - held_floors, tenant_room))
+
+    def _set_reserved(self, name: str, nbytes: int) -> None:
+        floor = self._floor[name]
+        before = self.reserved[name]
+        self._unused_floors += (max(0, floor - nbytes)
+                                - max(0, floor - before))
+        self._total_reserved += nbytes - before
+        self.reserved[name] = nbytes
 
     # -- admission ------------------------------------------------------------
 
     def feasible_ever(self, name: str, nbytes: int) -> bool:
         """Could this reservation fit on an otherwise idle system?"""
-        if name not in self.reserved:
+        room = self._idle_room.get(name)
+        if room is None:
             raise SchedulingError(f"unknown tenant {name!r}")
-        others_floors = sum(self._floor_bytes(o) for o in self.reserved
-                            if o != name)
-        room = min(self._ceiling_bytes(name),
-                   self.capacity.total_bytes - others_floors)
         return nbytes <= room
 
     def try_reserve(self, name: str, nbytes: int) -> bool:
@@ -168,10 +183,9 @@ class KvLedger:
             raise SchedulingError(f"{name}: reservation must be positive")
         if nbytes > self._available_to(name):
             return False
-        self.reserved[name] += nbytes
+        self._set_reserved(name, self.reserved[name] + nbytes)
         self.admitted += 1
-        self.peak_reserved = max(self.peak_reserved,
-                                 sum(self.reserved.values()))
+        self.peak_reserved = max(self.peak_reserved, self._total_reserved)
         self._check()
         return True
 
@@ -181,12 +195,13 @@ class KvLedger:
     def grow(self, name: str, nbytes: int) -> None:
         """Materialize ``nbytes`` of actual KV inside a reservation."""
         self.resident[name] += nbytes
+        self._total_resident += nbytes
         if self.resident[name] > self.reserved[name]:
             raise SchedulingError(
                 f"{name}: resident {self.resident[name]} B exceeds "
                 f"reservation {self.reserved[name]} B")
-        self.peak_resident = max(self.peak_resident,
-                                 sum(self.resident.values()))
+        if self._total_resident > self.peak_resident:
+            self.peak_resident = self._total_resident
         self._check()
 
     def release(self, name: str, reserved_bytes: int,
@@ -199,28 +214,27 @@ class KvLedger:
             raise SchedulingError(
                 f"{name}: releasing {resident_bytes} resident B, only "
                 f"{self.resident.get(name, 0)} B resident")
-        self.reserved[name] -= reserved_bytes
+        self._set_reserved(name, self.reserved[name] - reserved_bytes)
         self.resident[name] -= resident_bytes
+        self._total_resident -= resident_bytes
         self.released += 1
         self._check()
 
     # -- invariants -----------------------------------------------------------
 
     def _check(self) -> None:
-        total_reserved = sum(self.reserved.values())
-        total_resident = sum(self.resident.values())
-        if total_resident > total_reserved:
+        if self._total_resident > self._total_reserved:
             raise SchedulingError(
-                f"KV ledger: resident {total_resident} B exceeds reserved "
-                f"{total_reserved} B")
-        if total_reserved > self.capacity.total_bytes:
+                f"KV ledger: resident {self._total_resident} B exceeds "
+                f"reserved {self._total_reserved} B")
+        if self._total_reserved > self._capacity_bytes:
             raise SchedulingError(
-                f"KV ledger: reserved {total_reserved} B exceeds capacity "
-                f"{self.capacity.total_bytes} B")
+                f"KV ledger: reserved {self._total_reserved} B exceeds "
+                f"capacity {self._capacity_bytes} B")
 
     @property
     def in_flight(self) -> int:
         return self.admitted - self.released
 
     def utilization(self) -> float:
-        return sum(self.reserved.values()) / self.capacity.total_bytes
+        return self._total_reserved / self._capacity_bytes

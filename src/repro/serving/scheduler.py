@@ -24,9 +24,11 @@ reports (``ServeReport.digest()`` pins this in CI).
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import deque
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..config.core_configs import CoreConfig
 from ..config.soc_configs import SocConfig
@@ -134,6 +136,30 @@ def _policy_key(policy: str):
                        st.request.index)
 
 
+class _RequestClass:
+    """The queued requests of one (tenant, prefill, decode) class.
+
+    Every member has the same KV need and the same ``feasible_ever``
+    verdict, and arrival order is policy order inside a class (both
+    policy keys reduce to (arrival, index) once tenant and prompt length
+    are fixed).  ``queue`` holds (policy key, state) pairs.
+    """
+
+    __slots__ = ("order", "tenant", "need", "feasible", "queue")
+
+    def __init__(self, order: int, tenant: str, need: int,
+                 feasible: bool) -> None:
+        self.order = order
+        self.tenant = tenant
+        self.need = need
+        self.feasible = feasible
+        self.queue: Deque[Tuple[tuple, RequestState]] = deque()
+
+    def head(self) -> Tuple[tuple, int, "_RequestClass"]:
+        """Heap entry: the head's policy key, then a unique tie-break."""
+        return self.queue[0][0], self.order, self
+
+
 class _Campaign:
     """One simulation run; see :func:`simulate_serving`."""
 
@@ -153,7 +179,6 @@ class _Campaign:
             spec.tenants, spec.seed, spec.core.frequency_hz)
         self.bpt = self.capacity.bytes_per_token
         self.clock = 0
-        self.pending: List[RequestState] = []
         self.running: List[RequestState] = []
         self.finished: List[RequestState] = []
         self.rejected: List[RequestState] = []
@@ -162,6 +187,13 @@ class _Campaign:
         self.prefill_steps = 0
         self.decode_steps = 0
         self._sort_key = _policy_key(self.policy)
+        # The admission queue: one FIFO per request class, the number of
+        # queued requests, and each tenant's queued KV bytes (the QoS
+        # demand), all kept current on arrival, admission and rejection.
+        self._classes: Dict[Tuple[str, int, int], _RequestClass] = {}
+        self._queued = 0
+        self._demand: Dict[str, int] = {
+            name: 0 for name in sorted(t.name for t in spec.tenants)}
         # The cost model may be shared across campaigns (so continuous
         # and static price from the same compiled buckets); invocation
         # accounting in the report must still be per-campaign.
@@ -170,6 +202,34 @@ class _Campaign:
                                       else {})
 
     # -- admission ------------------------------------------------------------
+
+    def _enqueue(self, request: Request) -> None:
+        need = request.kv_bytes(self.bpt)
+        feasible = self.ledger.feasible_ever(request.tenant, need)
+        key = (request.tenant, request.prefill_tokens,
+               request.decode_tokens)
+        cls = self._classes.get(key)
+        if cls is None:
+            cls = _RequestClass(len(self._classes), request.tenant, need,
+                                feasible)
+            self._classes[key] = cls
+        st = RequestState(request)
+        cls.queue.append((self._sort_key(st), st))
+        self._queued += 1
+        self._demand[request.tenant] += need
+
+    def _dequeue(self, cls: _RequestClass) -> RequestState:
+        st = cls.queue.popleft()[1]
+        self._queued -= 1
+        self._demand[cls.tenant] -= cls.need
+        return st
+
+    def _start(self, cls: _RequestClass) -> None:
+        """Admit the head of ``cls``; its KV is already reserved."""
+        st = self._dequeue(cls)
+        st.admitted_cycles = self.clock
+        st.kv_reserved_bytes = cls.need
+        self.running.append(st)
 
     def _qos_budgets(self) -> Optional[Dict[str, float]]:
         """Per-tenant byte budgets for this admission round.
@@ -180,66 +240,77 @@ class _Campaign:
         soc.qos semantics, applied to cache bytes instead of DRAM
         bandwidth.  A single demanding tenant needs no arbitration.
         """
-        demands: Dict[str, float] = {}
-        for st in self.pending:
-            need = float(st.request.kv_bytes(self.bpt))
-            demands[st.request.tenant] = demands.get(st.request.tenant,
-                                                     0.0) + need
+        demands = {name: float(queued)
+                   for name, queued in self._demand.items() if queued}
         if len(demands) < 2:
             return None
-        ordered = {name: demands[name] for name in sorted(demands)}
-        return dict(self.ledger.arbiter.arbitrate(ordered).granted)
+        return dict(self.ledger.arbiter.arbitrate(demands).granted)
 
     def _admit(self) -> None:
+        """One admission round over the queued requests in policy order.
+
+        The round heap-merges the class heads, so it costs
+        O(classes · log classes + requests admitted or rejected), not
+        O(queue).  That is exact because within a round a tenant's room
+        (ledger availability and QoS budget) only shrinks: once it
+        misses at need *n*, every queued need >= *n* of that tenant
+        misses too, so those classes drop out of the round unvisited.
+        An infeasible request is rejected when the merge reaches it
+        while slots remain — the same moment a full scan would.
+        """
         slots = self.max_batch - len(self.running)
-        if slots <= 0 or not self.pending:
+        if slots <= 0 or not self._queued:
             return
-        self.pending.sort(key=self._sort_key)
         budgets = self._qos_budgets()
-        kept: List[RequestState] = []
-        for st in self.pending:
-            tenant = st.request.tenant
-            need = st.request.kv_bytes(self.bpt)
-            if slots <= 0:
-                kept.append(st)
-                continue
-            if not self.ledger.feasible_ever(tenant, need):
-                # This request can never fit — not even on an idle
-                # system inside its tenant's MPAM envelope.
+        heads = [cls.head() for cls in self._classes.values() if cls.queue]
+        heapq.heapify(heads)
+        missed: Dict[str, int] = {}
+        while heads:
+            cls = heads[0][2]
+            tenant, need = cls.tenant, cls.need
+            if not cls.feasible:
+                # Can never fit, not even on an idle system inside its
+                # tenant's MPAM envelope.
+                st = self._dequeue(cls)
                 st.rejected_cycles = self.clock
                 self.ledger.note_rejected()
                 self.rejected.append(st)
+            elif (need >= missed.get(tenant, need + 1)
+                  or (budgets is not None
+                      and need > budgets.get(tenant, 0.0))
+                  or not self.ledger.try_reserve(tenant, need)):
+                missed[tenant] = min(need, missed.get(tenant, need))
+                heapq.heappop(heads)
                 continue
-            over_budget = (budgets is not None
-                           and need > budgets.get(tenant, 0.0))
-            if not over_budget and self.ledger.try_reserve(tenant, need):
-                st.admitted_cycles = self.clock
-                st.kv_reserved_bytes = need
-                self.running.append(st)
+            else:
+                self._start(cls)
                 slots -= 1
                 if budgets is not None:
                     budgets[tenant] = budgets.get(tenant, 0.0) - need
+                if slots <= 0:
+                    break
+            if cls.queue:
+                heapq.heapreplace(heads, cls.head())
             else:
-                kept.append(st)
-        self.pending = kept
+                heapq.heappop(heads)
         # Progress guarantee: an idle engine must never spin on QoS
-        # round budgets alone — force the head-of-line feasible request
-        # through the ledger (which still enforces floors/ceilings).
-        if not self.running and self.pending:
-            for st in list(self.pending):
-                tenant = st.request.tenant
-                need = st.request.kv_bytes(self.bpt)
-                if self.ledger.try_reserve(tenant, need):
-                    st.admitted_cycles = self.clock
-                    st.kv_reserved_bytes = need
-                    self.running.append(st)
-                    self.pending.remove(st)
+        # round budgets alone — force the first class head, in policy
+        # order, that the ledger (which still enforces floors/ceilings)
+        # accepts.
+        if not self.running and self._queued:
+            for _, _, cls in sorted(c.head() for c in self._classes.values()
+                                    if c.queue):
+                if self.ledger.try_reserve(cls.tenant, cls.need):
+                    self._start(cls)
                     break
 
     # -- the engine loop ------------------------------------------------------
 
     def run(self) -> None:
-        arrivals = self.trace
+        # Arrival ties enter in (tenant, index) order, so each class
+        # queue stays in policy order.
+        arrivals = sorted(self.trace, key=lambda r: (r.arrival_cycles,
+                                                     r.tenant, r.index))
         cursor = 0
         offered = len(arrivals)
         guard = 0
@@ -252,9 +323,9 @@ class _Campaign:
                     f"rejected of {offered})")
             while (cursor < offered
                    and arrivals[cursor].arrival_cycles <= self.clock):
-                self.pending.append(RequestState(arrivals[cursor]))
+                self._enqueue(arrivals[cursor])
                 cursor += 1
-            if not self.running and not self.pending:
+            if not self.running and not self._queued:
                 # Idle: jump to the next arrival.
                 self.clock = max(self.clock, arrivals[cursor].arrival_cycles)
                 continue
@@ -263,14 +334,18 @@ class _Campaign:
                 if self.mode == "static":
                     self.static_width = len(self.running)
             if not self.running:
-                # Everything pending was rejected this round; loop.
+                # Everything queued was rejected this round; loop.
                 continue
             self._step()
 
     def _step(self) -> None:
         self.iterations += 1
-        prefilling = [st for st in self.running if not st.prefilled]
-        decoding = [st for st in self.running if st.prefilled]
+        # Admission appends to ``running`` and every step prefills all
+        # it admitted, so the requests still to prefill are its suffix.
+        prefilling: List[RequestState] = []
+        decoding: List[RequestState] = []
+        for st in self.running:
+            (decoding if st.prefilled else prefilling).append(st)
         step_cycles = 0
         if prefilling:
             total_tokens = sum(st.request.prefill_tokens for st in prefilling)
@@ -292,10 +367,7 @@ class _Campaign:
             st.kv_resident_bytes += grown
             self.ledger.grow(st.request.tenant, grown)
         still_running: List[RequestState] = []
-        for st in self.running:
-            if st in prefilling:
-                still_running.append(st)
-                continue
+        for st in decoding:
             st.decoded += 1
             st.kv_resident_bytes += self.bpt
             self.ledger.grow(st.request.tenant, self.bpt)
@@ -308,7 +380,7 @@ class _Campaign:
                 self.finished.append(st)
             else:
                 still_running.append(st)
-        self.running = still_running
+        self.running = still_running + prefilling
         if self.mode == "static" and not self.running:
             self.static_width = 0
 
@@ -439,7 +511,8 @@ def simulate_serving(spec: ServeSpec, mode: str = "continuous",
     spec's (model, core); tests inject duck-typed stand-ins, and
     benchmark sweeps share one instance across modes so both schedulers
     price steps from the same compiled buckets.  ``trace`` overrides the
-    generated arrival trace (it must be sorted by arrival cycle).
+    generated arrival trace; requests enter in (arrival, tenant, index)
+    order whatever its order.
     """
     campaign = _Campaign(spec, mode, cost_model, trace)
     campaign.run()

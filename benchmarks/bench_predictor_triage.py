@@ -16,7 +16,8 @@ wall-clock independent (only the speedup line varies with machine load).
 
 from repro.analysis import ascii_table
 from repro.perf.predictor.dataset import SMOKE_CORPUS
-from repro.perf.predictor.sweep import clear_memo_tiers, triage_design_sweep
+from repro.perf.predictor.sweep import (clear_memo_tiers, private_cache_dir,
+                                        triage_design_sweep)
 from repro.perf.predictor.train import train_predictor
 
 _CANDIDATES = 200
@@ -27,11 +28,13 @@ _EPSILON = 0.05
 def _train_and_triage():
     report = train_predictor(seed=0, corpus=SMOKE_CORPUS,
                              variants_per_core=12, rounds=60)
+    # Both timed legs start cold: no in-process memo, no disk artifacts.
     clear_memo_tiers()
-    sweep = triage_design_sweep(
-        report.predictor, model="gesture", base_core="ascend-lite",
-        n_candidates=_CANDIDATES, top_k=_TOP_K, epsilon=_EPSILON,
-        seed=1, validate=True)
+    with private_cache_dir():
+        sweep = triage_design_sweep(
+            report.predictor, model="gesture", base_core="ascend-lite",
+            n_candidates=_CANDIDATES, top_k=_TOP_K, epsilon=_EPSILON,
+            seed=1, validate=True)
     return report, sweep
 
 

@@ -79,9 +79,9 @@ def _lowering_mode() -> str:
     return env_choice("REPRO_LOWERING", "arena", ("arena", "objects"))
 
 
-# Graceful degradation: if the arena emitter fails (a real validation
-# bug, or an injected arena fault), the object oracle still exists —
-# fall back to it and count the event rather than failing the compile.
+# Graceful degradation under an injected arena fault: the object
+# emitter still exists, so fall back to it and count the event rather
+# than failing the compile.
 _LOWERING_STATS = {"arena_fallbacks": 0, "memo_hits": 0}
 
 
@@ -96,17 +96,20 @@ def reset_lowering_stats() -> None:
 
 
 def _try_arena(thunk):
-    """Run an arena-emitter thunk; None means "use the object oracle"."""
+    """Run an arena-emitter thunk; None means "use the object emitter".
+
+    Only an injected arena fault falls back.  Any other error from the
+    arena emitter propagates from where it arose: the object emitter
+    would reject the same inputs, so retrying there only doubles the
+    work and hides the origin.
+    """
     from ..reliability.injector import active_injector
 
     inj = active_injector()
-    try:
-        if inj is not None and inj.should_fail_arena():
-            raise CompileError("injected arena-lowering fault")
-        return thunk()
-    except Exception:
+    if inj is not None and inj.should_fail_arena():
         _LOWERING_STATS["arena_fallbacks"] += 1
         return None
+    return thunk()
 
 
 # Lowering is pure given its arguments minus the tag, and real graphs
@@ -172,8 +175,8 @@ class PostOp:
 
 # Flag instructions are immutable and tiny, and a compiled tile loop
 # emits the same (src, dst, event, tag) flag thousands of times — intern
-# them so repeated emissions share one object (the timing engine prices
-# instructions per distinct object).
+# them so repeated emissions share one object (building arena columns
+# and trace metadata from objects is memoized per distinct object).
 _FLAG_CACHE: dict = {}
 
 

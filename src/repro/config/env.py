@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import os
 import re
-from typing import Optional, Sequence
+from contextlib import contextmanager
+from typing import Iterator, Optional, Sequence
 
 from ..errors import ConfigError
 
-__all__ = ["env_choice", "env_int", "env_float", "env_flag"]
+__all__ = ["env_choice", "env_int", "env_float", "env_flag", "env_scope"]
 
 # Exactly one optionally-signed decimal integer / float, nothing else.
 _INT_RE = re.compile(r"^[+-]?[0-9]+$")
@@ -111,3 +112,18 @@ def env_float(name: str, default: Optional[float] = None,
             f"{name}={raw!r} is below the minimum of {minimum}"
         )
     return parsed
+
+
+@contextmanager
+def env_scope(**pairs: object) -> Iterator[None]:
+    """Temporarily set environment knobs, restoring on exit."""
+    previous = {key: os.environ.get(key) for key in pairs}
+    os.environ.update({key: str(value) for key, value in pairs.items()})
+    try:
+        yield
+    finally:
+        for key, value in previous.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value

@@ -4,7 +4,7 @@ The analysis harness consumes traces to reproduce the paper's per-layer
 figures: cube/vector busy-cycle ratios (Figures 4-8) and L1 bandwidth
 profiles (Figure 9).
 
-Storage is *columnar*: one growable arena of parallel numpy arrays
+Storage is *columnar*: one arena of parallel numpy arrays
 (program index, pipe, start, end, interned tag id, move route and byte
 counts) instead of a Python list of event objects.  Every aggregate
 query — ``total_cycles``, ``busy_cycles``, ``span``, L1/GM traffic,
@@ -206,40 +206,13 @@ class ExecutionTrace:
                  "_src_nbytes", "_dst_nbytes", "_tag_names", "_tag_ids",
                  "_meta_memo", "_flag_cols")
 
-    _INITIAL_CAPACITY = 64
-
     def __init__(self, events: Optional[Iterable[TraceEvent]] = None) -> None:
-        self._n = 0
-        self._instrs: List[Instruction] = []
-        self._tag_names: List[str] = [""]
-        self._tag_ids: Dict[str, int] = {"": 0}
-        self._meta_memo: Dict[int, tuple] = {}
-        self._flag_cols: Optional[tuple] = None
-        self._allocate(self._INITIAL_CAPACITY)
-        if events:
-            self.extend(events)
-
-    def _allocate(self, capacity: int) -> None:
-        self._index = np.empty(capacity, np.int64)
-        self._pipe = np.empty(capacity, np.int8)
-        self._start = np.empty(capacity, np.int64)
-        self._end = np.empty(capacity, np.int64)
-        self._tag_id = np.empty(capacity, np.int32)
-        self._kind = np.empty(capacity, np.int8)
-        self._src_space = np.empty(capacity, np.int8)
-        self._dst_space = np.empty(capacity, np.int8)
-        self._src_nbytes = np.empty(capacity, np.int64)
-        self._dst_nbytes = np.empty(capacity, np.int64)
-
-    def _grow(self) -> None:
-        capacity = max(self._INITIAL_CAPACITY, 2 * len(self._index))
-        old = {name: getattr(self, name) for name in (
-            "_index", "_pipe", "_start", "_end", "_tag_id", "_kind",
-            "_src_space", "_dst_space", "_src_nbytes", "_dst_nbytes")}
-        self._allocate(capacity)
-        n = self._n
-        for name, column in old.items():
-            getattr(self, name)[:n] = column[:n]
+        """Build a trace from ready-made events (tests, examples, tools);
+        the schedulers use :meth:`from_columns` directly."""
+        events = list(events) if events else []
+        self._load([e.instr for e in events], [e.index for e in events],
+                   [int(e.pipe) for e in events],
+                   [e.start for e in events], [e.end for e in events])
 
     # -- construction ---------------------------------------------------------
 
@@ -253,19 +226,22 @@ class ExecutionTrace:
         hot path: no :class:`TraceEvent` objects are created.
         """
         trace = cls.__new__(cls)
-        n = len(instrs)
-        trace._n = n
-        trace._instrs = instrs
-        trace._tag_names = [""]
-        trace._tag_ids = {"": 0}
-        trace._meta_memo = {}
-        trace._flag_cols = None
-        trace._index = np.asarray(index, np.int64)
-        trace._pipe = np.asarray(pipe, np.int8)
-        trace._start = np.asarray(start, np.int64)
-        trace._end = np.asarray(end, np.int64)
-        trace._fill_meta_columns()
+        trace._load(instrs, index, pipe, start, end)
         return trace
+
+    def _load(self, instrs: List[Instruction], index, pipe, start, end
+              ) -> None:
+        self._n = len(instrs)
+        self._instrs = instrs
+        self._tag_names = [""]
+        self._tag_ids = {"": 0}
+        self._meta_memo = {}
+        self._flag_cols = None
+        self._index = np.asarray(index, np.int64)
+        self._pipe = np.asarray(pipe, np.int8)
+        self._start = np.asarray(start, np.int64)
+        self._end = np.asarray(end, np.int64)
+        self._fill_meta_columns()
 
     def _fill_meta_columns(self) -> None:
         """Derive tag/kind/traffic columns from the instruction list."""
@@ -319,36 +295,6 @@ class ExecutionTrace:
             return (kind, tag_id, int(instr.src.space), int(instr.dst.space),
                     instr.src.nbytes, instr.dst.nbytes)
         return (kind, tag_id, -1, -1, 0, 0)
-
-    def append(self, event: TraceEvent) -> None:
-        """Append one event to the arena (legacy row-oriented path)."""
-        i = self._n
-        if i >= len(self._index):
-            self._grow()
-        instr = event.instr
-        memo = self._meta_memo
-        key = id(instr)
-        rec = memo.get(key)
-        if rec is None:
-            rec = self._meta_of(instr)
-            memo[key] = rec
-        self._instrs.append(instr)
-        self._index[i] = event.index
-        self._pipe[i] = int(event.pipe)
-        self._start[i] = event.start
-        self._end[i] = event.end
-        self._kind[i] = rec[0]
-        self._tag_id[i] = rec[1]
-        self._src_space[i] = rec[2]
-        self._dst_space[i] = rec[3]
-        self._src_nbytes[i] = rec[4]
-        self._dst_nbytes[i] = rec[5]
-        self._n = i + 1
-        self._flag_cols = None  # derived flag columns are stale
-
-    def extend(self, events: Iterable[TraceEvent]) -> None:
-        for event in events:
-            self.append(event)
 
     # -- row view -------------------------------------------------------------
 
@@ -415,8 +361,6 @@ class ExecutionTrace:
         if n == 0 or tag_id is None:
             return (0, 0)
         mask = self._tag_id[:n] == tag_id
-        if not mask.any():  # interned via append of a foreign-trace event
-            return (0, 0)
         return (int(self._start[:n][mask].min()),
                 int(self._end[:n][mask].max()))
 
@@ -516,7 +460,7 @@ class ExecutionTrace:
         so summing any column over the returned dict equals the matching
         :meth:`summary` total.  (``tags()`` deliberately excludes the
         empty tag; per-tag consumers that dropped the untagged bucket
-        used to under-report traffic against the single-pass summary —
+        used to under-report traffic against the engine's summary —
         the equivalence is now pinned by tests.)
 
         Buckets are keyed by tag name in first-appearance order; only
@@ -554,10 +498,10 @@ class ExecutionTrace:
         The arena does not store flag metadata per event; this derives it
         once from the instruction list (memoized per distinct instruction
         object, so compiled tile loops pay one probe per occurrence) and
-        caches the result.  ``packed`` holds the
-        :func:`~repro.isa.channels.pack_channel` id for flag events and
-        -1 elsewhere.  Consumed by the profiling layer (wait histograms,
-        Perfetto flow events); appending events invalidates the cache.
+        caches the result (a trace is immutable once built).  ``packed``
+        holds the :func:`~repro.isa.channels.pack_channel` id for flag
+        events and -1 elsewhere.  Consumed by the profiling layer (wait
+        histograms, Perfetto flow events).
         """
         if self._flag_cols is not None:
             return self._flag_cols

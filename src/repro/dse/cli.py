@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from contextlib import contextmanager
 from pathlib import Path
 from typing import List, Optional
 
+from ..config.env import env_scope
 from ..errors import ConfigError
 from .engine import DseEngine, SearchSpec, brute_force_frontier
 from .settings import (dse_dir, dse_epsilon, dse_generations,
@@ -295,21 +294,6 @@ def _results_dir() -> Path:
     return Path.cwd() / "benchmarks" / "results"
 
 
-@contextmanager
-def _env_scope(**pairs: object):
-    """Temporarily set environment knobs, restoring on exit."""
-    previous = {key: os.environ.get(key) for key in pairs}
-    os.environ.update({key: str(value) for key, value in pairs.items()})
-    try:
-        yield
-    finally:
-        for key, value in previous.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-
-
 def _cmd_chaos_smoke(args: argparse.Namespace) -> int:
     """``make chaos-smoke``: the dse-smoke search under seeded chaos.
 
@@ -346,8 +330,8 @@ def _cmd_chaos_smoke(args: argparse.Namespace) -> int:
     supervisor.drain_failures()
     with tempfile.TemporaryDirectory(prefix="chaos-smoke-") as tmp:
         engine = DseEngine(smoke_spec(space, recipe), predictor, tmp)
-        with _env_scope(REPRO_SWEEP_TIMEOUT=CHAOS_SMOKE_TIMEOUT,
-                        REPRO_SWEEP_RETRIES=CHAOS_SMOKE_RETRIES), \
+        with env_scope(REPRO_SWEEP_TIMEOUT=CHAOS_SMOKE_TIMEOUT,
+                       REPRO_SWEEP_RETRIES=CHAOS_SMOKE_RETRIES), \
                 chaos_scope(plan):
             engine.run(max_workers=CHAOS_SMOKE_WORKERS)
         counts = supervisor.counters()

@@ -27,7 +27,8 @@ from pathlib import Path
 from typing import List, Optional
 
 from .dataset import SMOKE_CORPUS
-from .sweep import clear_memo_tiers, triage_design_sweep
+from .sweep import clear_memo_tiers, private_cache_dir, \
+    triage_design_sweep
 from .train import (default_artifact_path, load_artifact, save_artifact,
                     train_predictor)
 
@@ -121,12 +122,15 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
                       extras={"cli": "smoke"})
         predictor, _ = load_artifact(Path(tmp) / "model.json")
 
+    # Both timed legs start cold whatever earlier runs left in memory or
+    # on disk, so the speedup gate gives the same verdict every run.
     clear_memo_tiers()
-    sweep = triage_design_sweep(
-        predictor, model="gesture", base_core="ascend-lite",
-        n_candidates=args.candidates, top_k=SMOKE_TOP_K,
-        epsilon=SMOKE_EPSILON, seed=SMOKE_SEED + 1, validate=True,
-        max_workers=args.workers)
+    with private_cache_dir():
+        sweep = triage_design_sweep(
+            predictor, model="gesture", base_core="ascend-lite",
+            n_candidates=args.candidates, top_k=SMOKE_TOP_K,
+            epsilon=SMOKE_EPSILON, seed=SMOKE_SEED + 1, validate=True,
+            max_workers=args.workers)
     gate = sweep.gate
     print(f"[smoke] triage: {gate['shortlist']}/{gate['candidates']} "
           f"simulated, speedup {gate['speedup']}x, "

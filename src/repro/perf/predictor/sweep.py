@@ -22,37 +22,62 @@ labelled.
 
 from __future__ import annotations
 
+import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ...bench.triage import shortlist_indices
 from ...config.core_configs import CoreConfig, core_config_by_name
+from ...config.env import env_scope
 from .dataset import design_point_variants
 from .features import candidate_feature_matrix, config_feature_columns
 from .model import CyclePredictor, mape, p95_relative_error
 from .settings import predict_epsilon, predict_top_k
 
-__all__ = ["TriageSweepReport", "triage_design_sweep", "clear_memo_tiers"]
+__all__ = ["TriageSweepReport", "triage_design_sweep", "clear_memo_tiers",
+           "private_cache_dir"]
 
 
 def clear_memo_tiers() -> None:
-    """Drop every in-memory compile/summary memo tier.
+    """Drop every in-process compile/summary memo tier.
 
-    Used between the timed legs of a validation run so both start cold;
-    the persistent on-disk cache is governed separately by
-    ``REPRO_CACHE``.
+    Used between the timed legs of a validation run so both start cold:
+    the graph-engine layer and model caches, the lowering arena memo and
+    interned flags, the tiling search's ``lru_cache``s, the validation
+    memo and the schedule-summary memo.  The persistent on-disk cache is
+    separate; :func:`private_cache_dir` isolates it.
     """
-    from ...compiler import lowering
+    from ...compiler import lowering, tiling
     from ...compiler.graph_engine import GraphEngine
     from ...core import engine as engine_mod
+    from ...isa import program as program_mod
 
     GraphEngine._GLOBAL_CACHE.clear()
     GraphEngine._GLOBAL_MODEL_CACHE.clear()
     lowering.clear_lowering_memo()
+    lowering._FLAG_CACHE.clear()
+    tiling._cost_model_for.cache_clear()
+    tiling.estimate_gemm_cycles.cache_clear()
+    tiling._choose_cached.cache_clear()
+    program_mod._VALIDATE_MEMO.clear()
     engine_mod._SUMMARY_MEMO.clear()
+
+
+@contextmanager
+def private_cache_dir() -> Iterator[str]:
+    """Point ``REPRO_CACHE_DIR`` at a fresh temporary directory.
+
+    Timed legs run inside this so neither leg is served from artifacts
+    an earlier run left on disk; the previous value is restored and the
+    directory removed on exit.
+    """
+    with tempfile.TemporaryDirectory(prefix="repro-cache-") as tmp, \
+            env_scope(REPRO_CACHE_DIR=tmp):
+        yield tmp
 
 
 def _simulate_job(job: Tuple[str, dict, CoreConfig]) -> float:

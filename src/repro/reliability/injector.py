@@ -1,8 +1,8 @@
 """The deterministic fault injector and its process-global registration.
 
 One :class:`FaultInjector` owns a seeded ``numpy`` generator and a set of
-counters; every RAS hook in the stack (scratchpad reads, both engine
-drains, the compile cache, arena lowering, the cluster model) asks the
+counters; every RAS hook in the stack (scratchpad reads, the engine
+drain, the compile cache, arena lowering, the cluster model) asks the
 *active* injector whether to perturb the operation at hand.  With no
 plan installed and ``REPRO_FAULTS`` unset, :func:`active_injector`
 returns ``None`` from one dict probe — the hooks then fall through to
@@ -75,7 +75,8 @@ class FaultInjector:
     # -- sync (flag-channel set events) ----------------------------------------
 
     def sync_action(self, packed_channel: int) -> Optional[str]:
-        """drop/dup/reorder for one retiring ``set_flag``, or None."""
+        """drop/dup/reorder for one ``set_flag`` on ``packed_channel``,
+        or None."""
         for fault in self.plan.sync:
             if fault.probability > 0 and fault.matches(packed_channel) \
                     and self.rng.random() < fault.probability:
@@ -88,9 +89,9 @@ class FaultInjector:
 
     def perturb_matches(self, match: np.ndarray, packed: np.ndarray,
                         set_rows: np.ndarray) -> np.ndarray:
-        """Arena-path twin of :meth:`sync_action`.
+        """Apply :meth:`sync_action` to every ``set_flag`` row.
 
-        The arena drain resolves waits through a *static* wait->set
+        The engine drain resolves waits through a *static* wait->set
         matching, so sync faults perturb the match column up front: a
         dropped set makes its matched wait stall forever (-2, the
         never-set marker); a reorder swaps the producers of adjacent

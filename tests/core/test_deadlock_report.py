@@ -1,10 +1,11 @@
-"""Deadlock diagnostics: all three schedulers name the same guilty channel.
+"""Deadlock diagnostics: the engine and the oracle name the same channel.
 
-The watchdog in each drain (object single-pass, columnar arena,
-fixpoint oracle) funnels its stalled-pipe facts through one
-``build_report``; these tests pin the contract that the resulting
-:class:`~repro.reliability.deadlock.DeadlockReport` identifies the same
-channel regardless of which scheduler hit the wall.
+The engine's watchdog and the fixpoint oracle's
+(``tests/core/reference_scheduler.py``) funnel their stalled-pipe facts
+through one ``build_report``; these tests pin the contract that the
+resulting :class:`~repro.reliability.deadlock.DeadlockReport` identifies
+the same channel for object-built programs, arena-built programs and
+the oracle.
 """
 
 import pytest
@@ -17,15 +18,17 @@ from repro.isa import Pipe, Program, ScalarInstr, SetFlag, WaitFlag
 from repro.isa.channels import pack_channel
 from repro.reliability.deadlock import DeadlockReport, channel_label
 
+from .reference_scheduler import schedule_fixpoint
+
 
 @pytest.fixture
 def costs():
     return CostModel(ASCEND_MAX)
 
 
-def _report_from(program, costs, algorithm):
+def _report_from(scheduler, program, costs):
     with pytest.raises(DeadlockError) as exc:
-        schedule(program, costs, algorithm=algorithm)
+        scheduler(program, costs)
     report = exc.value.report
     assert isinstance(report, DeadlockReport)
     # The message is the report's own rendering, so grepping logs and
@@ -36,14 +39,15 @@ def _report_from(program, costs, algorithm):
 
 
 def _reports_all_schedulers(instrs, costs):
-    """Run the program through object, arena, and fixpoint drains."""
+    """Run the program through the engine (object-built and arena-built)
+    and through the fixpoint oracle."""
     object_prog = Program(list(instrs))
     arena_prog = Program.from_arena(Program(list(instrs)).arena)
-    assert arena_prog._arena is not None  # really takes the arena drain
     return {
-        "object": _report_from(object_prog, costs, "single-pass"),
-        "arena": _report_from(arena_prog, costs, "single-pass"),
-        "fixpoint": _report_from(Program(list(instrs)), costs, "fixpoint"),
+        "object": _report_from(schedule, object_prog, costs),
+        "arena": _report_from(schedule, arena_prog, costs),
+        "fixpoint": _report_from(schedule_fixpoint, Program(list(instrs)),
+                                 costs),
     }
 
 

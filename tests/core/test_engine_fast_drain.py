@@ -21,8 +21,7 @@ from repro.core.costs import CostModel
 from repro.core.engine import (
     engine_stats,
     reset_engine_stats,
-    schedule_fixpoint,
-    schedule_single_pass,
+    schedule,
     schedule_summary,
 )
 from repro.dtypes import FP16
@@ -30,19 +29,20 @@ from repro.graph.workload import GemmWork, OpWorkload
 from repro.isa import Pipe, Program, ScalarInstr, SetFlag, WaitFlag
 from repro.isa.arena import InstructionArena
 
+from .reference_scheduler import schedule_fixpoint
 from .test_engine_equivalence import _random_flagged_program
 
 _COSTS = CostModel(ASCEND_MAX)
 
 
 def _arena_program(instrs) -> Program:
-    """Force the columnar scheduling path for an instruction list."""
+    """An arena-built program over an instruction list's columns."""
     return Program.from_arena(InstructionArena.from_instructions(instrs))
 
 
-def _assert_traces_identical(program, oracle_program=None):
-    trace = schedule_single_pass(program, _COSTS)
-    ref = schedule_fixpoint(oracle_program or program, _COSTS)
+def _assert_traces_identical(program):
+    trace = schedule(program, _COSTS)
+    ref = schedule_fixpoint(program, _COSTS)
     assert len(trace.events) == len(ref.events)
     assert np.array_equal(trace.starts, ref.starts)
     assert np.array_equal(trace.ends, ref.ends)
@@ -121,7 +121,7 @@ class TestRepeatExtrapolation:
 
     def test_summary_equals_trace_summary(self):
         program = lower_workload(self._repeated_workload(8), ASCEND_MAX)
-        trace = schedule_single_pass(program, _COSTS)
+        trace = schedule(program, _COSTS)
         assert schedule_summary(program, _COSTS) == trace.summary()
 
 
@@ -151,8 +151,8 @@ class TestRepeatMetadata:
         assert other.tags == ["", "beta"]
         assert arena.retagged(arena.tags[-1]) is arena  # no-op fast path
         # Retagging changes labels only — the schedule is identical.
-        t1 = schedule_single_pass(program, _COSTS)
-        t2 = schedule_single_pass(Program.from_arena(other), _COSTS)
+        t1 = schedule(program, _COSTS)
+        t2 = schedule(Program.from_arena(other), _COSTS)
         assert np.array_equal(t1.starts, t2.starts)
         assert np.array_equal(t1.ends, t2.ends)
 
@@ -170,7 +170,7 @@ class TestDeadlockStillDetected:
             ref = schedule_fixpoint(program, _COSTS)
         except DeadlockError:
             with pytest.raises(DeadlockError):
-                schedule_single_pass(arena_prog, _COSTS)
+                schedule(arena_prog, _COSTS)
         else:
-            trace = schedule_single_pass(arena_prog, _COSTS)
+            trace = schedule(arena_prog, _COSTS)
             assert np.array_equal(trace.ends, ref.ends)

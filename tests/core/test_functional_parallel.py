@@ -135,7 +135,8 @@ class TestRandomProgramEquivalence:
     @settings(max_examples=25, deadline=None)
     def test_state_bit_identical(self, seed, n, workers):
         rng = np.random.default_rng(seed)
-        program = _random_flagged_program(rng, n, allow_deadlock=False)
+        program = _random_flagged_program(rng, n, allow_deadlock=False,
+                                          classes=3)
         feed = rng.standard_normal(64).astype(np.float16)
         _run_serial_and_parallel(
             ASCEND_MAX, program,

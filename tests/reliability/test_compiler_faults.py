@@ -74,6 +74,29 @@ class TestArenaFallback:
         lower_gemm(32, 32, 32, ASCEND_MAX, tag="clean")
         assert lowering_stats()["arena_fallbacks"] == 0
 
+    def test_real_arena_error_propagates(self, monkeypatch):
+        """Only injected faults fall back: a genuine arena-emitter error
+        surfaces from where it arose and is not counted as a fallback."""
+        from repro.compiler import arena_lowering
+
+        class ArenaBug(RuntimeError):
+            pass
+
+        def broken(*args, **kwargs):
+            raise ArenaBug("arena emitter bug")
+
+        monkeypatch.setattr(arena_lowering, "lower_gemm_arena", broken)
+        monkeypatch.setenv("REPRO_LOWER_MEMO", "0")
+        reset_lowering_stats()
+        with pytest.raises(ArenaBug):
+            lower_gemm(48, 48, 48, ASCEND_MAX, tag="bug")
+        assert lowering_stats()["arena_fallbacks"] == 0
+        # An injected fault still degrades to the object emitter.
+        with fault_scope(parse_fault_spec("seed=1;arena:p=1")):
+            prog = lower_gemm(48, 48, 48, ASCEND_MAX, tag="bug")
+        assert lowering_stats()["arena_fallbacks"] == 1
+        assert schedule(prog, CostModel(ASCEND_MAX)).total_cycles > 0
+
 
 class TestTimingCacheBypass:
     def test_stall_campaign_not_masked_by_warm_cache(self, cache_dir):

@@ -9,20 +9,26 @@ test:
 	$(PY) -m pytest -x -q
 
 # Fault-injection smoke: the seeded RAS campaigns (ECC, sync, stall,
-# cache, arena, checkpoint) plus the faults-off byte-identity gate.
+# cache, checkpoint) plus the faults-off byte-identity gate.
 test-faults:
 	$(PY) -m pytest -q -m faults
 
 # Equivalence gates: columnar trace aggregates vs the legacy event walk,
-# parallel functional execution vs the serial oracle, and the timing
-# engine (traces, summaries, the flat drain and deadlock reports) vs the
-# rescan-to-fixpoint oracle in tests/core/reference_scheduler.py.
+# parallel functional execution vs the serial oracle, the timing engine
+# (traces, summaries, the flat drain and deadlock reports) vs the
+# rescan-to-fixpoint oracle in tests/core/reference_scheduler.py, the
+# columnar emitters (default, sparse and weight-stationary GEMMs, vector
+# streams, workloads) vs the per-object emitters in
+# tests/compiler/reference_lowering.py, and lowering-memo hits vs fresh
+# lowerings.
 test-equiv:
 	$(PY) -m pytest -q tests/core/test_trace_columnar.py \
 		tests/core/test_functional_parallel.py \
 		tests/core/test_engine_equivalence.py \
 		tests/core/test_engine_fast_drain.py \
-		tests/core/test_deadlock_report.py
+		tests/core/test_deadlock_report.py \
+		tests/compiler/test_lowering_arena.py \
+		tests/compiler/test_lowering_memo.py
 
 bench:
 	$(PY) -m pytest benchmarks/ -q

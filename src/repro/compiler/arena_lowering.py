@@ -1,32 +1,37 @@
 """Vectorized lowering: emit whole programs as columnar arenas.
 
-The object lowerer in :mod:`repro.compiler.lowering` walks the tile grid
-in nested Python loops, constructing one frozen dataclass per
-instruction — the dominant cost of a cold compile.  This module produces
-the *same instruction stream* (asserted instruction-for-instruction
-against the object oracle in tests/compiler/test_lowering_arena.py)
-without creating a single instruction object: every row's global
-position is computed with cumulative-sum index arithmetic over the tile
-grid, and the columns are filled by broadcast scatter stores.
+Every program :mod:`repro.compiler.lowering` hands out is built here,
+straight into :class:`~repro.isa.arena.InstructionArena` columns, without
+creating a single instruction object: the default GEMM schedule, its
+sparse (ZVC-compressed weights) and weight-stationary (``b_resident``)
+variants, and vector streaming.  Every row's global position is computed
+with cumulative-sum index arithmetic over the tile grid, and the columns
+are filled by broadcast scatter stores.  The per-instruction emitters
+these replace live on as the oracle in
+``tests/compiler/reference_lowering.py``;
+``tests/compiler/test_lowering_arena.py`` asserts the two agree
+instruction for instruction.
 
 How positions are derived: the emission order of ``lower_gemm`` is a
 fixed row pattern per feed / stage / tile, where only a handful of rows
 are conditional (pipeline-fill waits exist only once the corresponding
-double-buffer index reaches 2, and the L0C-reuse wait only on the first
-matmul of a tile).  Encoding each conditional as a 0/1 column makes
+double-buffer index reaches 2, the L0C-reuse wait only on the first
+matmul of a tile, and — weight-stationary — B moves only on a column's
+first A strip, and each column ends with a release set that the next
+column waits on).  Encoding each conditional as a 0/1 column makes
 rows-per-feed, rows-per-stage and rows-per-tile plain integer columns;
 exclusive cumulative sums of those give every block's start row, and
-each role's rows land at ``block_start + fixed offset + conditional
-offsets``.  The kernel-end drain (``_Emitter.finish``) appends the
-unmatched release waits in the same string-sorted channel order the
-object path uses.
+each role's rows land at
+``block_start + fixed offset + conditional offsets``.  The kernel end
+appends one wait per unmatched release ``set``, channels in the order
+of their string-sorted ``(src, dst, event)`` keys.
 
-Integer exactness: the object path computes byte offsets as
-``int(count * dtype.bytes)`` — float multiplication then truncation.
-For every supported dtype ``bytes`` is ``bits / 8`` with bits in
-{4, 8, 16, 32}, so the product is an exact dyadic rational and the
-truncation equals ``count * bits // 8`` in plain integer arithmetic,
-which is what the column expressions use.
+Integer exactness: byte offsets are defined as ``int(count *
+dtype.bytes)`` — float multiplication then truncation.  For every
+supported dtype ``bytes`` is ``bits / 8`` with bits in {4, 8, 16, 32}, so
+the product is an exact dyadic rational and the truncation equals
+``count * bits // 8`` in plain integer arithmetic, which is what the
+column expressions use.
 """
 
 from __future__ import annotations
@@ -37,11 +42,12 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..config.core_configs import CoreConfig
-from ..dtypes import DType, accumulator_for
+from ..dtypes import INT8, DType, accumulator_for
 from ..errors import IsaError
 from ..graph.workload import VectorWork
 from ..isa.arena import DTYPE_ID, InstructionArena
 from ..isa.channels import (
+    EV_B_RESIDENT_FREE,
     EV_L0C_TILE_FREE,
     EV_L0C_TILE_READY,
     EV_L0_FEED_FREE,
@@ -57,6 +63,7 @@ from ..isa.channels import (
 from ..isa.instructions import (
     OP_COPY,
     OP_CUBE,
+    OP_DECOMP,
     OP_SET,
     OP_VECTOR,
     OP_WAIT,
@@ -65,12 +72,14 @@ from ..isa.instructions import (
 from ..isa.memref import MemSpace
 from ..isa.pipes import Pipe
 from ..isa.program import Program
+from ..memory.zvc import zvc_compressed_nbytes
 from .tiling import Tiling
 
 __all__ = ["lower_gemm_arena", "lower_vector_arena"]
 
 _I64 = np.int64
 _VOP_ID = {op: i for i, op in enumerate(VectorOpcode)}
+_BYTE = DTYPE_ID[INT8.name]  # compressed streams are INT8 byte regions
 
 # Pipe / space ints used in scatter stores.
 _M, _V = int(Pipe.M), int(Pipe.V)
@@ -89,8 +98,8 @@ def _flags(a: InstructionArena, pos, kind: int, src: int, dst: int,
     a.event[pos] = event
 
 
-def _copy(a: InstructionArena, pos, pipe: int) -> None:
-    a.kind[pos] = OP_COPY
+def _copy(a: InstructionArena, pos, pipe: int, kind: int = OP_COPY) -> None:
+    a.kind[pos] = kind
     a.pipe[pos] = pipe
 
 
@@ -114,6 +123,12 @@ def _vector(a: InstructionArena, pos, vop: VectorOpcode,
         a.scalar[pos] = float(scalar)
 
 
+def _zvc_bytes(elems: np.ndarray, density: float, dtype: DType) -> np.ndarray:
+    """Compressed stream bytes per tile: ``max(1, int(zvc size))``."""
+    size = zvc_compressed_nbytes(elems, density, dtype.bytes)
+    return np.maximum(1, np.asarray(size).astype(_I64))
+
+
 def lower_gemm_arena(
     m: int,
     k: int,
@@ -126,17 +141,25 @@ def lower_gemm_arena(
     post_ops: Sequence,
     layout,
     a_bytes_scale: float,
+    weight_density: Optional[float] = None,
+    resident: bool = False,
 ) -> Program:
-    """Columnar twin of the default ``lower_gemm`` schedule.
+    """Emit one ``lower_gemm`` schedule as columns.
 
-    Callers guarantee ``weight_density is None`` and no weight-stationary
-    residency (those exotic variants stay on the object emitter).
+    ``weight_density`` selects the sparse path (performance-only): each
+    B panel travels GM -> L1 as a ZVC-compressed INT8 byte stream and
+    the MTE decomp module expands every feed into L0B.  ``resident``
+    selects the weight-stationary schedule (the caller has checked that
+    a whole B K-strip fits L0B): tiles walk column-major, B is staged
+    and fed only on a column's first A strip, one L0B slot per feed of
+    the strip, and event 9 on M -> MTE1 hands the resident slots from
+    one column to the next.
     """
     acc = accumulator_for(dtype)
     functional = layout is not None
     bits, out_bits, acc_bits = dtype.bits, out_dtype.bits, acc.bits
-    # The L1 -> L0A feed copy is always pitched, so the object emitter
-    # rejects sub-byte dtypes at Region construction; match it eagerly.
+    # The L1 -> L0A feed copy is always pitched, and pitched regions
+    # must be byte-aligned; reject sub-byte dtypes up front.
     if bits % 8 or (functional and out_bits % 8):
         raise IsaError("pitched regions require byte-aligned dtypes")
     dt = DTYPE_ID[dtype.name]
@@ -178,9 +201,13 @@ def lower_gemm_arena(
     NS = T * K              # L1 stages
     NF = T * Ft             # L0 feeds
 
+    # Tiles in emission order: row-major by default; column-major when
+    # weight-stationary, so every A strip streams past one column's B.
     tau_t = np.arange(T, dtype=_I64)
-    om_t = tau_t // tiles_n
-    on_t = tau_t % tiles_n
+    if resident:
+        on_t, om_t = np.divmod(tau_t, tiles_m)
+    else:
+        om_t, on_t = np.divmod(tau_t, tiles_n)
     rm_t = np.where(om_t == tiles_m - 1, rm_last, tm)
     rn_t = np.where(on_t == tiles_n - 1, rn_last, tn)
 
@@ -189,6 +216,7 @@ def lower_gemm_arena(
     ok_s = sigma % K
     rks_arr = np.asarray(rk_stage_of, _I64)
     rk_stage_s = rks_arr[ok_s]
+    rn_s = rn_t[tau_s]
 
     phi = np.arange(NF, dtype=_I64)
     tau_f = phi // Ft
@@ -202,40 +230,55 @@ def lower_gemm_arena(
 
     # Conditional rows as 0/1 columns (pipeline-fill waits appear only
     # once each double-buffer index reaches 2; the L0C-reuse wait only on
-    # a tile's first matmul).
+    # a tile's first matmul; B moves on every stage and feed, except that
+    # weight-stationary moves it only on a column's first A strip).
     w1_s = (sigma >= 2).astype(_I64)            # wait MTE1->MTE2 ev1
     w3_f = (phi >= 2).astype(_I64)              # wait M->MTE1 ev3
     first_f = (phi % Ft) == 0                   # first matmul of a tile
     w5_f = (first_f & (tau_f >= 2)).astype(_I64)  # wait V->M ev5
     w7_t = (tau_t >= 2).astype(_I64)            # wait MTE3->V ev7
+    hb_s = (om_t[tau_s] == 0).astype(_I64) if resident else 1
+    hb_f = hb_s[sigma_f] if resident else 1
+    # Rows carrying B, as an index into the per-stage / per-feed arrays.
+    b_s = np.flatnonzero(hb_s) if resident else slice(None)
+    b_f = np.flatnonzero(hb_f) if resident else slice(None)
 
     P = len(post_ops)
     has_bias = 1 if (functional and layout.bias_offset is not None) else 0
 
     # Rows per feed / stage / tile, then every block's start row.
-    rpf = 6 + w3_f + w5_f
+    rpf = 5 + hb_f + w3_f + w5_f
     feed_rows_s = np.bincount(sigma_f, weights=rpf,
                               minlength=NS).astype(_I64)
-    rps = 5 + w1_s + feed_rows_s
+    rps = 4 + hb_s + w1_s + feed_rows_s
     stage_rows_t = np.bincount(tau_s, weights=rps, minlength=T).astype(_I64)
     rpe = 8 + w7_t + has_bias + P
     rpt = stage_rows_t + rpe
+    lead_t = 0
+    if resident:
+        # Column hand-off: wait ev9 before every column but the first
+        # (the tile's lead row), set ev9 after each column (its last row).
+        lead_t = ((om_t == 0) & (on_t > 0)).astype(_I64)
+        trail_t = (om_t == tiles_m - 1).astype(_I64)
+        rpt = rpt + lead_t + trail_t
 
     pre = has_bias  # the one-off bias preload copy at row 0
     tile_start = pre + np.cumsum(rpt) - rpt
+    body_t = tile_start + lead_t
     excl_s = np.cumsum(rps) - rps
-    stage_start = tile_start[tau_s] + excl_s - excl_s[tau_s * K]
+    stage_start = body_t[tau_s] + excl_s - excl_s[tau_s * K]
     F_per_stage = np.tile(np.asarray(F_of, _I64), T)
     stage_first_feed = np.cumsum(F_per_stage) - F_per_stage
     excl_f = np.cumsum(rpf) - rpf
-    feed_start = (stage_start[sigma_f] + 4 + w1_s[sigma_f]
+    feed_start = (stage_start[sigma_f] + 3 + w1_s[sigma_f] + hb_f
                   + excl_f - excl_f[stage_first_feed[sigma_f]])
-    ep = tile_start + stage_rows_t  # epilogue start per tile
+    ep = body_t + stage_rows_t  # epilogue start per tile
 
-    # Kernel-end drain: unmatched release sets, in the object emitter's
-    # string-sorted channel order (M->MTE1 ev3, MTE1->MTE2 ev1,
-    # MTE3->V ev7, V->M ev5).
+    # Kernel-end drain: unmatched release sets, channels in string-sorted
+    # key order (M->MTE1 ev3, M->MTE1 ev9, MTE1->MTE2 ev1, MTE3->V ev7,
+    # V->M ev5).
     drains = ([(_M, _MTE1, EV_L0_FEED_FREE)] * min(2, NF)
+              + [(_M, _MTE1, EV_B_RESIDENT_FREE)] * int(resident)
               + [(_MTE1, _MTE2, EV_L1_STAGE_FREE)] * min(2, NS)
               + [(_MTE3, _V, EV_UB_TILE_FREE)] * min(2, T)
               + [(_V, _M, EV_L0C_TILE_FREE)] * min(2, T))
@@ -251,12 +294,17 @@ def lower_gemm_arena(
         _region(arena, 0, 0, _UB, ub_bias_off, 1, n, odt)
         _region(arena, 0, 1, _GM, layout.bias_offset, 1, n, odt)
 
+    if resident:
+        _flags(arena, tile_start[lead_t == 1], OP_WAIT, _M, _MTE1,
+               EV_B_RESIDENT_FREE)
+        _flags(arena, (tile_start + rpt - 1)[trail_t == 1], OP_SET, _M,
+               _MTE1, EV_B_RESIDENT_FREE)
+
     # ---- MTE2: stage A strip and B panel into L1 (one block per stage) ----
     slot_s = sigma % 2
     _flags(arena, stage_start[w1_s == 1], OP_WAIT, _MTE1, _MTE2, EV_L1_STAGE_FREE)
     pos = stage_start + w1_s
     _copy(arena, pos, _MTE2)
-    rn_s = rn_t[tau_s]
     if functional:
         a_d0 = rm_t[tau_s]
         a_gm_off = (layout.a_offset
@@ -270,17 +318,24 @@ def lower_gemm_arena(
         a_d0 = np.where(om_t[tau_s] == tiles_m - 1, a_rows_last, a_rows_full)
         _region(arena, pos, 0, _L1, slot_s * a_stage_b, a_d0, rk_stage_s, dt)
         _region(arena, pos, 1, _GM, 0, a_d0, rk_stage_s, dt)
-    pos = pos + 1
-    _copy(arena, pos, _MTE2)
-    _region(arena, pos, 0, _L1, l1_b_base + slot_s * b_stage_b,
-            rk_stage_s, rn_s, dt)
-    if functional:
-        b_gm_off = (layout.b_offset
-                    + (ok_s * k_stage * n + on_t[tau_s] * tn) * bits // 8)
-        _region(arena, pos, 1, _GM, b_gm_off, rk_stage_s, rn_s, dt,
-                pitch=n * bits // 8)
+    bpos = (pos + 1)[b_s]
+    l1_b_s = (l1_b_base + slot_s * b_stage_b)[b_s]
+    _copy(arena, bpos, _MTE2)
+    if weight_density is not None:
+        comp = _zvc_bytes(rk_stage_s * rn_s, weight_density, dtype)[b_s]
+        _region(arena, bpos, 0, _L1, l1_b_s, comp, 0, _BYTE)
+        _region(arena, bpos, 1, _GM, 0, comp, 0, _BYTE)
     else:
-        _region(arena, pos, 1, _GM, 0, rk_stage_s, rn_s, dt)
+        b_d0, b_d1 = rk_stage_s[b_s], rn_s[b_s]
+        _region(arena, bpos, 0, _L1, l1_b_s, b_d0, b_d1, dt)
+        if functional:
+            b_gm_off = (layout.b_offset
+                        + (ok_s * k_stage * n + on_t[tau_s] * tn) * bits // 8)
+            _region(arena, bpos, 1, _GM, b_gm_off[b_s], b_d0, b_d1, dt,
+                    pitch=n * bits // 8)
+        else:
+            _region(arena, bpos, 1, _GM, 0, b_d0, b_d1, dt)
+    pos = pos + hb_s
     _flags(arena, pos + 1, OP_SET, _MTE2, _MTE1, EV_L1_STAGE_READY)
     _flags(arena, pos + 2, OP_WAIT, _MTE2, _MTE1, EV_L1_STAGE_READY)
     _flags(arena, stage_start + rps - 1, OP_SET, _MTE1, _MTE2, EV_L1_STAGE_FREE)
@@ -290,16 +345,29 @@ def lower_gemm_arena(
     slot_f = sigma_f % 2
     _flags(arena, feed_start[w3_f == 1], OP_WAIT, _M, _MTE1, EV_L0_FEED_FREE)
     pos = feed_start + w3_f
-    _copy(arena, pos, _MTE1)
-    _region(arena, pos, 0, _L0A, fslot * a_feed_b, rm_f, rk_f, dt)
-    _region(arena, pos, 1, _L1, slot_f * a_stage_b + ik_f * tk * bits // 8,
+    if resident:  # B first, into the strip's own L0B slot
+        apos, bpos = pos + hb_f, pos
+        l0b_off = (phi - tau_f * Ft) * b_feed_b
+    else:
+        apos, bpos = pos, pos + 1
+        l0b_off = fslot * b_feed_b
+    _copy(arena, apos, _MTE1)
+    _region(arena, apos, 0, _L0A, fslot * a_feed_b, rm_f, rk_f, dt)
+    _region(arena, apos, 1, _L1, slot_f * a_stage_b + ik_f * tk * bits // 8,
             rm_f, rk_f, dt, pitch=rk_stage_f * bits // 8)
-    pos = pos + 1
-    _copy(arena, pos, _MTE1)
-    _region(arena, pos, 0, _L0B, fslot * b_feed_b, rk_f, rn_f, dt)
-    _region(arena, pos, 1, _L1,
-            l1_b_base + slot_f * b_stage_b + ik_f * tk * rn_f * bits // 8,
-            rk_f, rn_f, dt)
+    bpos = bpos[b_f]
+    l1_b_f = (l1_b_base + slot_f * b_stage_b)[b_f]
+    b_d0, b_d1 = rk_f[b_f], rn_f[b_f]
+    if weight_density is not None:
+        _copy(arena, bpos, _MTE1, OP_DECOMP)
+        _region(arena, bpos, 1, _L1, l1_b_f,
+                _zvc_bytes(b_d0 * b_d1, weight_density, dtype), 0, _BYTE)
+    else:
+        _copy(arena, bpos, _MTE1)
+        _region(arena, bpos, 1, _L1, l1_b_f + ik_f[b_f] * tk * b_d1 * bits // 8,
+                b_d0, b_d1, dt)
+    _region(arena, bpos, 0, _L0B, l0b_off[b_f], b_d0, b_d1, dt)
+    pos = pos + hb_f
     _flags(arena, pos + 1, OP_SET, _MTE1, _M, EV_L0_FEED_READY)
     _flags(arena, pos + 2, OP_WAIT, _MTE1, _M, EV_L0_FEED_READY)
     _flags(arena, (pos + 3)[w5_f == 1], OP_WAIT, _V, _M, EV_L0C_TILE_FREE)
@@ -309,7 +377,7 @@ def lower_gemm_arena(
     arena.accumulate[pos] = (~first_f).astype(np.int8)
     _region(arena, pos, 0, _L0C, (tau_f % 2) * c_tile_b, rm_f, rn_f, adt)
     _region(arena, pos, 1, _L0A, fslot * a_feed_b, rm_f, rk_f, dt)
-    _region(arena, pos, 2, _L0B, fslot * b_feed_b, rk_f, rn_f, dt)
+    _region(arena, pos, 2, _L0B, l0b_off, rk_f, rn_f, dt)
     _flags(arena, pos + 1, OP_SET, _M, _MTE1, EV_L0_FEED_FREE)
 
     # ---- vector epilogue + MTE3 store (per tile) ----
@@ -357,7 +425,7 @@ def lower_gemm_arena(
 
 def lower_vector_arena(work: VectorWork, config: CoreConfig, tag: str,
                        load_input: bool, store_output: bool) -> Program:
-    """Columnar twin of ``lower_vector_work``."""
+    """Emit ``lower_vector_work``'s streaming schedule as columns."""
     bits = work.dtype.bits
     dt = DTYPE_ID[work.dtype.name]
     chunk_elems = max(1, int(config.ub_bytes / (2 * work.dtype.bytes)))

@@ -193,8 +193,8 @@ class GraphEngine:
             program = lower_workload(work, self.config,
                                      a_bytes_scale_for_gemms=a_bytes_scale,
                                      weight_density=weight_density)
-            if cache.program_cache_enabled() and program._arena is not None:
-                cache.store_arena(key, program._arena)
+            if cache.program_cache_enabled():
+                cache.store_arena(key, program.arena)
         summary = schedule_summary(program, self.costs)
         layer = CompiledLayer(
             name=name or work.name,

@@ -46,9 +46,9 @@ def clear_memo_tiers() -> None:
     """Drop every in-process compile/summary memo tier.
 
     Used between the timed legs of a validation run so both start cold:
-    the graph-engine layer and model caches, the lowering arena memo and
-    interned flags, the tiling search's ``lru_cache``s, the validation
-    memo and the schedule-summary memo.  The persistent on-disk cache is
+    the graph-engine layer and model caches, the lowering arena memo,
+    the tiling search's ``lru_cache``s, the validation memo and the
+    schedule-summary memo.  The persistent on-disk cache is
     separate; :func:`private_cache_dir` isolates it.
     """
     from ...compiler import lowering, tiling
@@ -59,7 +59,6 @@ def clear_memo_tiers() -> None:
     GraphEngine._GLOBAL_CACHE.clear()
     GraphEngine._GLOBAL_MODEL_CACHE.clear()
     lowering.clear_lowering_memo()
-    lowering._FLAG_CACHE.clear()
     tiling._cost_model_for.cache_clear()
     tiling.estimate_gemm_cycles.cache_clear()
     tiling._choose_cached.cache_clear()

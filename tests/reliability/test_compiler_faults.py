@@ -1,14 +1,8 @@
-"""Compiler-tier RAS: cache corruption/quarantine and arena fallback."""
+"""Compiler-tier RAS: cache corruption/quarantine and timing-fault bypass."""
 
-import numpy as np
 import pytest
 
 from repro.compiler import cache
-from repro.compiler.lowering import lower_gemm, lowering_stats, \
-    reset_lowering_stats
-from repro.config import ASCEND_MAX
-from repro.core import CostModel
-from repro.core.engine import schedule
 from repro.reliability import fault_scope, parse_fault_spec
 
 pytestmark = pytest.mark.faults
@@ -46,56 +40,6 @@ class TestCacheQuarantine:
         # A clean store under the same key works again afterwards.
         cache.store("cafef00d", {"payload": 3})
         assert cache.load("cafef00d")["payload"] == 3
-
-
-class TestArenaFallback:
-    def test_injected_arena_failure_falls_back_to_objects(self):
-        reset_lowering_stats()
-        plan = parse_fault_spec("seed=1;arena:p=1")
-        with fault_scope(plan) as inj:
-            prog = lower_gemm(64, 64, 64, ASCEND_MAX, tag="ras")
-            assert inj.counters["arena_failed"] >= 1
-        assert lowering_stats()["arena_fallbacks"] >= 1
-        # The fallback program is a real, schedulable program.
-        trace = schedule(prog, CostModel(ASCEND_MAX))
-        assert trace.total_cycles > 0
-
-    def test_fallback_program_matches_arena_schedule(self):
-        reset_lowering_stats()
-        clean = lower_gemm(64, 64, 64, ASCEND_MAX, tag="ras")
-        costs = CostModel(ASCEND_MAX)
-        clean_cycles = schedule(clean, costs).total_cycles
-        with fault_scope(parse_fault_spec("seed=1;arena:p=1")):
-            degraded = lower_gemm(64, 64, 64, ASCEND_MAX, tag="ras")
-        assert schedule(degraded, costs).total_cycles == clean_cycles
-
-    def test_no_fallbacks_counted_without_plan(self):
-        reset_lowering_stats()
-        lower_gemm(32, 32, 32, ASCEND_MAX, tag="clean")
-        assert lowering_stats()["arena_fallbacks"] == 0
-
-    def test_real_arena_error_propagates(self, monkeypatch):
-        """Only injected faults fall back: a genuine arena-emitter error
-        surfaces from where it arose and is not counted as a fallback."""
-        from repro.compiler import arena_lowering
-
-        class ArenaBug(RuntimeError):
-            pass
-
-        def broken(*args, **kwargs):
-            raise ArenaBug("arena emitter bug")
-
-        monkeypatch.setattr(arena_lowering, "lower_gemm_arena", broken)
-        monkeypatch.setenv("REPRO_LOWER_MEMO", "0")
-        reset_lowering_stats()
-        with pytest.raises(ArenaBug):
-            lower_gemm(48, 48, 48, ASCEND_MAX, tag="bug")
-        assert lowering_stats()["arena_fallbacks"] == 0
-        # An injected fault still degrades to the object emitter.
-        with fault_scope(parse_fault_spec("seed=1;arena:p=1")):
-            prog = lower_gemm(48, 48, 48, ASCEND_MAX, tag="bug")
-        assert lowering_stats()["arena_fallbacks"] == 1
-        assert schedule(prog, CostModel(ASCEND_MAX)).total_cycles > 0
 
 
 class TestTimingCacheBypass:

@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.reliability import (
-    ArenaFault,
     FaultInjector,
     FaultPlan,
     MemBitFault,
@@ -25,7 +24,7 @@ class TestSpecParsing:
         plan = parse_fault_spec(
             "seed=42;membit:space=UB,p=1e-4,bits=2,ecc=1;"
             "sync:action=reorder,p=0.05;stall:pipe=MTE2,factor=4,p=0.1;"
-            "chip:mtbf_hours=1000;cache:p=1;arena:p=0.5")
+            "chip:mtbf_hours=1000;cache:p=1")
         assert plan.seed == 42
         assert plan.memory == (MemBitFault(space="UB", probability=1e-4,
                                            bits=2, ecc=True),)
@@ -34,8 +33,12 @@ class TestSpecParsing:
                                          probability=0.1),)
         assert plan.chip.mtbf_hours == 1000
         assert plan.cache.probability == 1.0
-        assert plan.arena == ArenaFault(probability=0.5)
         assert not plan.is_noop()
+
+    def test_removed_arena_kind_rejected(self):
+        with pytest.raises(ConfigError,
+                           match="unknown fault kind 'arena'"):
+            parse_fault_spec("arena:p=1")
 
     def test_defaults(self):
         plan = parse_fault_spec("membit:")

@@ -14,22 +14,23 @@ test-faults:
 	$(PY) -m pytest -q -m faults
 
 # Equivalence gates: columnar trace aggregates vs the legacy event walk,
-# parallel functional execution vs the serial oracle, the timing engine
-# (traces, summaries, the flat drain and deadlock reports) vs the
-# rescan-to-fixpoint oracle in tests/core/reference_scheduler.py, the
-# columnar emitters (default, sparse and weight-stationary GEMMs, vector
-# streams, workloads) vs the per-object emitters in
-# tests/compiler/reference_lowering.py, and lowering-memo hits vs fresh
-# lowerings.
+# the timing engine (traces, summaries, the flat drain and deadlock
+# reports) vs the rescan-to-fixpoint oracle in
+# tests/core/reference_scheduler.py, the columnar emitters (default,
+# sparse and weight-stationary GEMMs, vector streams, workloads) vs the
+# per-object emitters in tests/compiler/reference_lowering.py, and
+# lowering-memo hits vs fresh lowerings.
 test-equiv:
 	$(PY) -m pytest -q tests/core/test_trace_columnar.py \
-		tests/core/test_functional_parallel.py \
 		tests/core/test_engine_equivalence.py \
 		tests/core/test_engine_fast_drain.py \
 		tests/core/test_deadlock_report.py \
 		tests/compiler/test_lowering_arena.py \
 		tests/compiler/test_lowering_memo.py
 
+# Paper tables/figures plus the sim-speed, DSE-scale and predictor
+# smoke benchmarks.  Reports land in benchmarks/results/; the smoke
+# reports carry wall-clock lines, so they are untracked generated output.
 bench:
 	$(PY) -m pytest benchmarks/ -q
 
@@ -77,7 +78,8 @@ chaos-smoke:
 # twice under continuous batching (the reports must be byte-identical,
 # pinned by digest) and once under static batching on the same trace
 # and compiled step costs — continuous must strictly beat static on
-# goodput.  The artifact lands in benchmarks/results/serving_smoke.json.
+# goodput.  The artifact lands in benchmarks/results/serving_smoke.json
+# (generated output, not tracked: it records the run's wall time).
 serve-smoke:
 	$(PY) -m repro.serving smoke
 

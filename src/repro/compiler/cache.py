@@ -37,8 +37,7 @@ __all__ = ["SCHEMA_VERSION", "enabled", "cache_dir", "content_key",
            "quarantine_model",
            "note_memory_hit", "note_model_memory_hit", "stats", "reset_stats",
            "snapshot", "merge_stats",
-           "LruCache", "memory_max_entries", "program_cache_enabled",
-           "store_arena", "load_arena", "quarantine_dir",
+           "LruCache", "memory_max_entries", "quarantine_dir",
            "timing_stats_bypassed"]
 
 # Bump when lowering, the cost model, or the payload shape changes.
@@ -47,13 +46,11 @@ SCHEMA_VERSION = 1
 _ENV_DIR = "REPRO_CACHE_DIR"
 _ENV_ENABLE = "REPRO_CACHE"
 _ENV_MAX_ENTRIES = "REPRO_CACHE_MAX_ENTRIES"
-_ENV_PROGRAM = "REPRO_PROGRAM_CACHE"
 _DEFAULT_DIR = ".repro_cache"
 
 _STATS = {"hits": 0, "misses": 0, "stores": 0, "errors": 0,
           "memory_hits": 0, "model_hits": 0, "model_stores": 0,
-          "model_memory_hits": 0, "evictions": 0,
-          "arena_hits": 0, "arena_stores": 0, "quarantined": 0,
+          "model_memory_hits": 0, "evictions": 0, "quarantined": 0,
           "fault_bypasses": 0}
 
 
@@ -64,8 +61,7 @@ def timing_stats_bypassed() -> bool:
     is active every stats tier (memory and persistent, layer and model)
     is bypassed in both directions: a cached clean schedule would mask
     the injected faults, and a faulted schedule must never be served to
-    a later clean run.  The arena/program cache is unaffected —
-    lowering is timing-independent.
+    a later clean run.
     """
     from ..reliability.injector import active_injector
 
@@ -389,84 +385,6 @@ def note_memory_hit() -> None:
 def note_model_memory_hit() -> None:
     """Record an in-memory whole-model cache hit for :func:`stats`."""
     _STATS["model_memory_hits"] += 1
-
-
-# -- arena-native program artifacts ------------------------------------------------
-#
-# Whole lowered programs persisted as raw columns (one .npz per key):
-# loading one rebuilds an InstructionArena with zero instruction objects
-# and zero re-lowering.  Off by default (REPRO_PROGRAM_CACHE=1 enables):
-# the compile path only needs summary payloads, and program artifacts are
-# megabytes where summaries are bytes.
-
-
-def program_cache_enabled() -> bool:
-    """Whether lowered-program artifacts are persisted/read
-    (``REPRO_PROGRAM_CACHE=1``; requires the cache itself enabled)."""
-    from ..config.env import env_flag
-
-    return enabled() and env_flag(_ENV_PROGRAM, default=False)
-
-
-def store_arena(key: str, arena: Any) -> None:
-    """Persist an exact arena's columns as ``prog-<key>.npz`` (atomic,
-    failure-tolerant; silently skipped for inexact arenas)."""
-    import numpy as np
-
-    if not program_cache_enabled():
-        return
-    try:
-        columns = arena.columns()
-    except Exception:
-        return  # inexact rows: objects are authoritative, don't persist
-    directory = cache_dir()
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez(fh, schema=SCHEMA_VERSION,
-                         tags=np.asarray(arena.tags, dtype=object),
-                         **columns)
-            os.replace(tmp, directory / f"prog-{key}.npz")
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    except OSError:
-        _STATS["errors"] += 1
-        return
-    _STATS["arena_stores"] += 1
-
-
-def load_arena(key: str) -> Optional[Any]:
-    """Rebuild an :class:`~repro.isa.arena.InstructionArena` from a
-    ``prog-<key>.npz`` artifact, or None on miss/corruption."""
-    import numpy as np
-
-    from ..isa.arena import InstructionArena
-
-    if not program_cache_enabled():
-        return None
-    path = cache_dir() / f"prog-{key}.npz"
-    try:
-        with np.load(path, allow_pickle=True) as data:
-            if int(data["schema"]) != SCHEMA_VERSION:
-                _STATS["misses"] += 1
-                return None
-            tags = [str(t) for t in data["tags"]]
-            columns = {name: data[name] for name in data.files
-                       if name not in ("schema", "tags")}
-        arena = InstructionArena.from_columns(columns, tags)
-    except FileNotFoundError:
-        _STATS["misses"] += 1
-        return None
-    except Exception:
-        # Corrupt program artifact: quarantine + re-lower, never crash.
-        _STATS["errors"] += 1
-        _quarantine(path)
-        return None
-    _STATS["arena_hits"] += 1
-    return arena
 
 
 def stats() -> Dict[str, Any]:

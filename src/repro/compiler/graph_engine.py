@@ -23,7 +23,6 @@ from ..graph import Graph
 from ..graph.ops import Conv2D, DepthwiseConv2D
 from ..graph.workload import OpWorkload
 from ..isa.pipes import Pipe
-from ..isa.program import Program
 from ..profiling.session import active_session
 from . import cache
 from .lowering import lower_workload
@@ -183,18 +182,9 @@ class GraphEngine:
                 else:
                     self._cache[key] = layer
                     return _observed(layer)
-        program = None
-        if cache.program_cache_enabled():
-            arena = cache.load_arena(key)
-            if arena is not None:
-                program = Program.from_arena(
-                    arena, name=f"{work.name}_{self.config.name}")
-        if program is None:
-            program = lower_workload(work, self.config,
-                                     a_bytes_scale_for_gemms=a_bytes_scale,
-                                     weight_density=weight_density)
-            if cache.program_cache_enabled():
-                cache.store_arena(key, program.arena)
+        program = lower_workload(work, self.config,
+                                 a_bytes_scale_for_gemms=a_bytes_scale,
+                                 weight_density=weight_density)
         summary = schedule_summary(program, self.costs)
         layer = CompiledLayer(
             name=name or work.name,
@@ -274,8 +264,8 @@ class GraphEngine:
 
         The structurally deduped layer set (minus in-memory cache hits)
         fans out over :func:`repro.bench.supervise` — each worker lowers
-        + schedules its layers, stores arena programs and stats into the
-        shared persistent cache, and ships the numeric payload back; the
+        + schedules its layers, stores their stats into the shared
+        persistent cache, and ships the numeric payload back; the
         parent seeds the process-global memory cache from those payloads
         and then runs the *unchanged* serial assembly, so the resulting
         :class:`CompiledModel` is byte-identical to a serial compile.
@@ -434,10 +424,10 @@ def _compile_workers() -> int:
 def _compile_layer_job(job: Tuple[CoreConfig, OpWorkload, float]) -> dict:
     """Sweep worker: compile one deduped layer, return its payload.
 
-    Runs in a forked worker.  ``compile_workload`` stores the arena
-    program and stats entry into the shared persistent cache as a side
-    effect, so even on platforms where the payload hand-back is lost the
-    next serial compile is a disk hit.
+    Runs in a forked worker.  ``compile_workload`` stores the stats
+    entry into the shared persistent cache as a side effect, so even on
+    platforms where the payload hand-back is lost the next serial
+    compile is a disk hit.
     """
     config, work, scale = job
     layer = GraphEngine(config).compile_workload(work, a_bytes_scale=scale)

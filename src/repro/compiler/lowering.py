@@ -214,31 +214,28 @@ def lower_workload(work: OpWorkload, config: CoreConfig,
     """
     tag = tag if tag is not None else work.name
     name = f"{work.name}_{config.name}"
-    subs = []
-    reps: List[int] = []
-    for g in work.gemms:
-        subs.append(lower_gemm(g.m, g.k, g.n, config, dtype=g.dtype, tag=tag,
-                               a_bytes_scale=a_bytes_scale_for_gemms,
-                               weight_density=weight_density))
-        reps.append(g.count)
-    for v in work.vector:
-        subs.append(lower_vector_work(v, config, tag=tag))
-        reps.append(1)
 
     def concat() -> Program:
-        # The sub-program memo hands structurally identical adjacent
-        # layers the *same* arena object — fold them into the repeat
-        # count so concat records one wide repeat block (better
-        # steady-state extrapolation) instead of several narrow ones.
+        # Sub-programs are lowered only on a workload-memo miss.  Their
+        # memo hands structurally identical adjacent layers the *same*
+        # arena object — fold them into the repeat count so concat
+        # records one wide repeat block (better steady-state
+        # extrapolation) instead of several narrow ones.
         arenas: List[InstructionArena] = []
-        mreps: List[int] = []
-        for sub, count in zip(subs, reps):
+        reps: List[int] = []
+        subs = [(lower_gemm(g.m, g.k, g.n, config, dtype=g.dtype, tag=tag,
+                            a_bytes_scale=a_bytes_scale_for_gemms,
+                            weight_density=weight_density), g.count)
+                for g in work.gemms]
+        subs += [(lower_vector_work(v, config, tag=tag), 1)
+                 for v in work.vector]
+        for sub, count in subs:
             if arenas and sub.arena is arenas[-1]:
-                mreps[-1] += count
+                reps[-1] += count
             else:
                 arenas.append(sub.arena)
-                mreps.append(count)
-        return Program.from_arena(InstructionArena.concat(arenas, mreps),
+                reps.append(count)
+        return Program.from_arena(InstructionArena.concat(arenas, reps),
                                   name=name)
 
     return _memoized(("workload", config, work.gemms, work.vector,

@@ -59,30 +59,21 @@ def env_flag(name: str, default: bool = False) -> bool:
 
 
 def env_int(name: str, default: Optional[int] = None,
-            minimum: Optional[int] = None,
-            special: Optional[dict] = None) -> Optional[int]:
+            minimum: Optional[int] = None) -> Optional[int]:
     """The integer value of ``name``.
 
-    Unset or empty means ``default``.  ``special`` maps exact strings
-    (case-insensitive, stripped) to values — e.g. ``{"serial": 1}``.
-    Non-integers (including trailing garbage like ``4x``), and integers
-    below ``minimum``, raise :class:`ConfigError` naming the variable.
+    Unset or empty means ``default``.  Non-integers (including trailing
+    garbage like ``4x``), and integers below ``minimum``, raise
+    :class:`ConfigError` naming the variable.
     """
     raw = os.environ.get(name)
     if raw is None or not raw.strip():
         return default
     value = raw.strip()
-    if special:
-        hit = special.get(value.lower())
-        if hit is not None:
-            return hit
     if not _INT_RE.match(value):
         accepted = "an integer"
         if minimum is not None:
             accepted = f"an integer >= {minimum}"
-        if special:
-            accepted += " or one of " + ", ".join(
-                repr(s) for s in sorted(special))
         raise ConfigError(
             f"{name}={raw!r} is not a valid value; accepted: {accepted}"
         )

@@ -622,46 +622,3 @@ class ExecutionTrace:
         instrs = self._instrs
         return [instrs[i]
                 for i in np.nonzero(np.isin(kinds, FUNCTIONAL_KINDS))[0]]
-
-    def n_functional(self) -> int:
-        """Count of functional instructions, without materializing them."""
-        return int(np.isin(self._kind[:self._n], FUNCTIONAL_KINDS).sum())
-
-    def wavefronts(self) -> List[List[Instruction]]:
-        """Group functional instructions into dependence-free waves.
-
-        Events are stored sorted by start time, and any dependence chain
-        (same-pipe program order or a set_flag -> wait_flag edge) forces
-        the consumer to start at or after the producer's end.  Walking
-        events in start order, an event whose start lies strictly before
-        the minimum end of the current wave therefore overlaps every
-        event in it — no dependence edge can exist between them — so it
-        joins the wave; otherwise the wave is sealed and a new one
-        begins.  Waves execute in order with a barrier between them,
-        preserving every producer -> consumer edge.
-        """
-        n = self._n
-        if n == 0:
-            return []
-        keep = np.nonzero(np.isin(self._kind[:n], FUNCTIONAL_KINDS))[0]
-        if keep.size == 0:
-            return []
-        starts = self._start[:n][keep].tolist()
-        ends = self._end[:n][keep].tolist()
-        instrs = self._instrs
-        waves: List[List[Instruction]] = []
-        wave: List[Instruction] = [instrs[keep[0]]]
-        wave_min_end = ends[0]
-        for pos in range(1, keep.size):
-            start = starts[pos]
-            instr = instrs[keep[pos]]
-            if start < wave_min_end:
-                wave.append(instr)
-                if ends[pos] < wave_min_end:
-                    wave_min_end = ends[pos]
-            else:
-                waves.append(wave)
-                wave = [instr]
-                wave_min_end = ends[pos]
-        waves.append(wave)
-        return waves

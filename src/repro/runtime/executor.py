@@ -58,15 +58,11 @@ class ModelRunner:
     # the host (per-kernel simulation wall-time guard, not a cycle issue).
     MAX_DEVICE_BMM_COUNT = 32
 
-    def __init__(self, graph: Graph, device: Device, seed: int = 0,
-                 func_workers=None) -> None:
+    def __init__(self, graph: Graph, device: Device, seed: int = 0) -> None:
         self.graph = graph
         self.device = device
         self.backend = ReferenceBackend(graph, seed=seed)
         self._costs = CostModel(device.config)
-        # Functional thread count for compiled kernels (None defers to
-        # REPRO_FUNC_WORKERS; <2 is the serial oracle).
-        self.func_workers = func_workers
 
     # -- public API --------------------------------------------------------------
 
@@ -170,7 +166,7 @@ class ModelRunner:
             if buf_bias is not None:
                 self.device.memcpy_h2d(
                     buf_bias, np.asarray(bias, np.float16).reshape(1, n))
-            self.device.run_program(program, workers=self.func_workers)
+            self.device.run_program(program)
             return self.device.memcpy_d2h(buf_c).astype(np.float32)
         finally:
             for buf in (buf_a, buf_b, buf_c, buf_bias):

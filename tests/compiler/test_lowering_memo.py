@@ -116,6 +116,36 @@ class TestMemoEquivalence:
         # retagged result is identical to the fresh lowering.
         _columns_identical(ref, hit)
 
+    def test_workload_hit_skips_sub_lowering(self, monkeypatch):
+        """A repeat ``lower_workload`` is one memo hit: its GEMM and
+        vector sub-programs are not lowered again (no tiling search, no
+        sub-memo lookups)."""
+        from repro.compiler import lowering
+
+        config = _CONFIGS[0]
+        work = OpWorkload(
+            name="block",
+            gemms=(GemmWork(m=128, k=96, n=64, dtype=FP16, count=2),
+                   GemmWork(m=64, k=64, n=64, dtype=FP16, count=1)),
+            vector=(VectorWork(elems=2048, passes=1, dtype=FP16),))
+        calls = []
+        real = lowering.choose_tiling
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lowering, "choose_tiling", counting)
+        with _memo():
+            first = lower_workload(work, config)
+            assert len(calls) == 2
+            calls.clear()
+            reset_lowering_stats()
+            again = lower_workload(work, config)
+            assert calls == []
+            assert lowering_stats()["memo_hits"] == 1
+        _columns_identical(first, again)
+
     @pytest.mark.parametrize("variant", [{"weight_density": 0.3},
                                          {"b_resident": True}],
                              ids=["sparse", "b_resident"])

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.compiler import GraphEngine, cache
 from repro.compiler.graph_engine import _compile_workers
-from repro.compiler.lowering import clear_lowering_memo, lower_workload
+from repro.compiler.lowering import clear_lowering_memo
 from repro.config.core_configs import CORE_CONFIGS
 from repro.dtypes import FP16, INT8
 from repro.errors import ConfigError
@@ -106,28 +106,6 @@ class TestParallelEquivalence:
             (GraphEngine._GLOBAL_CACHE,
              GraphEngine._GLOBAL_MODEL_CACHE) = saved_caches
         _assert_models_equal(ref, out)
-
-    def test_programs_instruction_identical_via_worker_cache(
-            self, tmp_path, monkeypatch):
-        """Workers persist arena programs; reloading one through the
-        content-addressed cache must reproduce the serial lowering
-        instruction for instruction."""
-        config = CORE_CONFIGS["ascend-max"]
-        _, work = _workload(0, 96, 96, 96, FP16, count=2, vec_elems=2048)
-        engine = _fresh_engine(config, tmp_path, monkeypatch, "prog")
-        monkeypatch.setenv("REPRO_PROGRAM_CACHE", "1")
-        engine.compile_graph_parallel(Graph("one"),
-                                      workloads=[("layer_0", work)],
-                                      max_workers=2)
-        key = cache.content_key(config, work, 1.0, None)
-        arena = cache.load_arena(key)
-        assert arena is not None, "worker did not persist the program"
-        from repro.isa.program import Program
-
-        stored = Program.from_arena(arena)
-        clear_lowering_memo()
-        fresh = lower_workload(work, config)
-        assert stored.instructions == fresh.instructions
 
     def test_no_fork_platform_falls_back(self, tmp_path, monkeypatch):
         config = CORE_CONFIGS["ascend"]

@@ -1,7 +1,7 @@
 """Strict ``REPRO_*`` environment parsing.
 
 The regression these pin: ``REPRO_SWEEP_WORKERS=4x`` used to fall back
-to serial silently (``REPRO_FUNC_WORKERS`` likewise); a mistyped knob
+to serial silently; a mistyped knob
 must raise :class:`~repro.errors.ConfigError` naming the variable, not
 quietly change behavior.
 """
@@ -10,7 +10,6 @@ import pytest
 
 from repro.bench.runner import sweep_workers
 from repro.config.env import env_choice, env_flag, env_float, env_int
-from repro.core.core import resolve_workers
 from repro.errors import ConfigError
 
 _VAR = "REPRO_TEST_KNOB"
@@ -42,13 +41,6 @@ class TestEnvInt:
             env_int(_VAR, minimum=2)
         monkeypatch.setenv(_VAR, "2")
         assert env_int(_VAR, minimum=2) == 2
-
-    def test_special_strings(self, monkeypatch):
-        monkeypatch.setenv(_VAR, "Serial")
-        assert env_int(_VAR, special={"serial": 1}) == 1
-        monkeypatch.setenv(_VAR, "turbo")
-        with pytest.raises(ConfigError, match="serial"):
-            env_int(_VAR, special={"serial": 1})
 
 
 class TestEnvFloat:
@@ -96,23 +88,6 @@ class TestEnvFlagAndChoice:
 
 class TestWorkerKnobsIntegration:
     """The audited call sites fail loudly end to end."""
-
-    def test_func_workers_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FUNC_WORKERS", "4x")
-        with pytest.raises(ConfigError, match="REPRO_FUNC_WORKERS"):
-            resolve_workers(None)
-
-    def test_func_workers_valid_forms(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FUNC_WORKERS", "3")
-        assert resolve_workers(None) == 3
-        monkeypatch.setenv("REPRO_FUNC_WORKERS", "oracle")
-        assert resolve_workers(None) == 1
-        assert resolve_workers("serial") == 1
-        assert resolve_workers(4) == 4
-
-    def test_explicit_worker_string_garbage(self):
-        with pytest.raises(ConfigError, match="workers"):
-            resolve_workers("bogus")
 
     def test_sweep_workers_garbage(self, monkeypatch):
         monkeypatch.setenv("REPRO_SWEEP_WORKERS", "4x")

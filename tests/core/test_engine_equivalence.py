@@ -45,17 +45,12 @@ _COSTS = CostModel(ASCEND_MAX)
 
 _PIPES = [Pipe.M, Pipe.V, Pipe.MTE1, Pipe.MTE2, Pipe.MTE3, Pipe.S]
 
-# Payload classes in draw order.  The first three (cube into L0C, copy
-# into L1, scalar) never touch a space another pipe writes, so functional
-# suites that replay random programs in parallel draw only those.
-_N_CLASSES = 9
 
-
-def _payload(rng: np.random.Generator, classes: int = _N_CLASSES):
-    """One random non-flag instruction from the first ``classes`` kinds:
-    cube, inbound copy, scalar, img2col, transpose, 3-source select,
-    barrier, outbound copy, decompress."""
-    kind = rng.integers(0, classes)
+def _payload(rng: np.random.Generator):
+    """One random non-flag instruction of one of nine classes, in draw
+    order: cube, inbound copy, scalar, img2col, transpose, 3-source
+    select, barrier, outbound copy, decompress."""
+    kind = rng.integers(0, 9)
     if kind == 0:
         return CubeMatmul(
             a=Region(MemSpace.L0A, 0, (16, 16), FP16),
@@ -100,8 +95,7 @@ def _payload(rng: np.random.Generator, classes: int = _N_CLASSES):
 
 
 def _random_flagged_program(rng: np.random.Generator, n: int,
-                            allow_deadlock: bool,
-                            classes: int = _N_CLASSES) -> Program:
+                            allow_deadlock: bool) -> Program:
     """Multi-pipe payload with set/wait chains.
 
     Sets are emitted eagerly and their waits deferred a random distance,
@@ -112,7 +106,7 @@ def _random_flagged_program(rng: np.random.Generator, n: int,
     instrs = []
     deferred = []  # pending WaitFlags not yet emitted
     for _ in range(n):
-        instrs.append(_payload(rng, classes))
+        instrs.append(_payload(rng))
         roll = rng.random()
         if roll < 0.35:
             src, dst = rng.choice(len(_PIPES), size=2, replace=False)

@@ -10,7 +10,7 @@ from repro.compiler.lowering import GemmLayout, PostOp
 from repro.config import ASCEND_MAX, ASCEND_TINY
 from repro.core import AscendCore, CostModel
 from repro.core.engine import schedule
-from repro.dtypes import FP16, INT8, INT32
+from repro.dtypes import FP16, INT8
 from repro.errors import CompileError
 from repro.graph.workload import GemmWork, OpWorkload, VectorWork
 from repro.isa import CubeMatmul, MemSpace, Pipe, Region, VectorOpcode
@@ -65,20 +65,6 @@ class TestFunctionalGemm:
         rng = np.random.default_rng(m * 10007 + k * 101 + n)
         out, ref, _ = _run_gemm(m, k, n, rng)
         assert np.allclose(out, ref, atol=5e-2, rtol=5e-2)
-
-    def test_int8_accumulates_exactly_in_int32(self, rng):
-        m, k, n = 64, 48, 32
-        a = rng.integers(-16, 16, (m, k)).astype(np.int8)
-        b = rng.integers(-16, 16, (k, n)).astype(np.int8)
-        layout = GemmLayout(0, 2 ** 19, 2 ** 20)
-        prog = lower_gemm(m, k, n, ASCEND_MAX, dtype=INT8, out_dtype=INT32,
-                          layout=layout)
-        core = AscendCore(ASCEND_MAX)
-        core.memory.write(Region(MemSpace.GM, 0, (m, k), INT8), a)
-        core.memory.write(Region(MemSpace.GM, 2 ** 19, (k, n), INT8), b)
-        core.run(prog)
-        out = core.memory.read(Region(MemSpace.GM, 2 ** 20, (m, n), INT32))
-        assert np.array_equal(out, a.astype(np.int32) @ b.astype(np.int32))
 
 
 class TestProgramStructure:

@@ -5,8 +5,8 @@ import pytest
 
 from repro.config import ASCEND
 from repro.core import AscendCore, CostModel
-from repro.dtypes import FP16, INT4, INT8, INT32
-from repro.isa import CopyInstr, CubeMatmul, MemSpace, Program, Region
+from repro.dtypes import INT4, INT8, INT32
+from repro.isa import CubeMatmul, MemSpace, Program, Region
 
 
 @pytest.fixture
@@ -26,35 +26,6 @@ class TestInt4Cube:
         core.run(Program([CubeMatmul(a=ra, b=rb, c=rc)]), validate=False)
         ref = a.astype(np.int32) @ b.astype(np.int32)
         assert np.array_equal(core.memory.read(rc), ref)
-
-    def test_int4_matmuls_beside_mte2_staging(self, core, rng):
-        """int4 matmuls interleaved with MTE2 staging copies: the cube
-        and MTE2 pipes overlap, and replay still leaves every product
-        and every staged byte exact."""
-        a = rng.integers(-8, 8, (16, 64)).astype(np.int8)
-        b = rng.integers(-8, 8, (64, 16)).astype(np.int8)
-        stage = rng.standard_normal((4, 256)).astype(np.float16)
-        ra = Region(MemSpace.L0A, 0, (16, 64), INT4)
-        rb = Region(MemSpace.L0B, 0, (64, 16), INT4)
-        instrs = []
-        for i in range(4):
-            instrs.append(CopyInstr(
-                dst=Region(MemSpace.L1, i * 512, (256,), FP16),
-                src=Region(MemSpace.GM, i * 512, (256,), FP16)))
-            instrs.append(CubeMatmul(
-                a=ra, b=rb, c=Region(MemSpace.L0C, i * 1024, (16, 16), INT32)))
-        core.memory.write(ra, a)
-        core.memory.write(rb, b)
-        core.memory.write(Region(MemSpace.GM, 0, (4, 256), FP16), stage)
-        core.run(Program(instrs), validate=False)
-        ref = a.astype(np.int32) @ b.astype(np.int32)
-        for i in range(4):
-            out = core.memory.read(
-                Region(MemSpace.L0C, i * 1024, (16, 16), INT32))
-            assert np.array_equal(out, ref)
-            staged = core.memory.read(
-                Region(MemSpace.L1, i * 512, (256,), FP16))
-            assert np.array_equal(staged, stage[i])
 
     def test_int4_runs_at_4x_fp16_rate(self):
         costs = CostModel(ASCEND)

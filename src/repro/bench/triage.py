@@ -25,7 +25,14 @@ import numpy as np
 
 from .supervisor import JobFailureReport, SweepPolicy, supervise
 
-__all__ = ["TriageResult", "triage_sweep", "shortlist_indices"]
+__all__ = ["TriageResult", "triage_sweep", "shortlist_indices",
+           "DEFAULT_TOP_K", "DEFAULT_EPSILON"]
+
+# The shortlist keeps the DEFAULT_TOP_K predicted best, widened to every
+# candidate within (1 + DEFAULT_EPSILON) of the best so that near-ties
+# are never decided by the model alone.
+DEFAULT_TOP_K = 8
+DEFAULT_EPSILON = 0.05
 
 _J = TypeVar("_J")
 _R = TypeVar("_R")
@@ -89,18 +96,16 @@ def shortlist_indices(predicted: Sequence[float], top_k: int,
 
 def triage_sweep(jobs: Sequence[_J], worker: Callable[[_J], _R],
                  predicted: Union[Sequence[float], Callable[[_J], float]],
-                 top_k: Optional[int] = None,
-                 epsilon: Optional[float] = None,
+                 top_k: int = DEFAULT_TOP_K,
+                 epsilon: float = DEFAULT_EPSILON,
                  max_workers: Optional[int] = None,
                  warm: Optional[Callable[[], object]] = None) -> TriageResult:
     """Run ``worker`` on the predicted-best shortlist of ``jobs`` only.
 
     ``predicted`` is either one score per job (lower is better) or a
-    callable evaluated per job.  ``top_k`` / ``epsilon`` default to the
-    ``REPRO_PREDICT_TOPK`` / ``REPRO_PREDICT_EPSILON`` knobs.
+    callable evaluated per job; ``top_k`` / ``epsilon`` set the
+    shortlist (see :func:`shortlist_indices`).
     """
-    from ..perf.predictor.settings import predict_epsilon, predict_top_k
-
     job_list = list(jobs)
     scores = ([float(predicted(job)) for job in job_list]
               if callable(predicted)
@@ -108,10 +113,7 @@ def triage_sweep(jobs: Sequence[_J], worker: Callable[[_J], _R],
     if len(scores) != len(job_list):
         raise ValueError(
             f"{len(scores)} predictions for {len(job_list)} jobs")
-    keep = shortlist_indices(
-        scores,
-        top_k if top_k is not None else predict_top_k(),
-        epsilon if epsilon is not None else predict_epsilon())
+    keep = shortlist_indices(scores, top_k, epsilon)
     outcome = supervise([job_list[i] for i in keep], worker,
                         max_workers=max_workers, warm=warm,
                         policy=SweepPolicy.from_env())

@@ -19,33 +19,15 @@ from __future__ import annotations
 import os
 import re
 from contextlib import contextmanager
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from ..errors import ConfigError
 
-__all__ = ["env_choice", "env_int", "env_float", "env_flag", "env_scope"]
+__all__ = ["env_int", "env_float", "env_flag", "env_scope"]
 
 # Exactly one optionally-signed decimal integer / float, nothing else.
 _INT_RE = re.compile(r"^[+-]?[0-9]+$")
 _FLOAT_RE = re.compile(r"^[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?$")
-
-
-def env_choice(name: str, default: str, choices: Sequence[str]) -> str:
-    """The value of ``name``, validated against ``choices``.
-
-    Unset or empty means ``default``.  Anything else must be one of
-    ``choices`` (exact match after stripping whitespace).
-    """
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    value = raw.strip()
-    if value not in choices:
-        raise ConfigError(
-            f"{name}={raw!r} is not a valid value; accepted: "
-            + ", ".join(repr(c) for c in choices)
-        )
-    return value
 
 
 def env_flag(name: str, default: bool = False) -> bool:
@@ -55,7 +37,14 @@ def env_flag(name: str, default: bool = False) -> bool:
     ``1`` raises :class:`ConfigError` — boolean knobs do not guess what
     ``yes``/``true``/``2`` were meant to be.
     """
-    return env_choice(name, "1" if default else "0", ("0", "1")) == "1"
+    raw = os.environ.get(name)
+    if raw is None or not raw.strip():
+        return default
+    value = raw.strip()
+    if value not in ("0", "1"):
+        raise ConfigError(
+            f"{name}={raw!r} is not a valid value; accepted: '0', '1'")
+    return value == "1"
 
 
 def env_int(name: str, default: Optional[int] = None,

@@ -35,9 +35,7 @@ from typing import List, Optional
 from ..config.env import env_scope
 from ..errors import ConfigError
 from .engine import DseEngine, SearchSpec, brute_force_frontier
-from .settings import (dse_dir, dse_epsilon, dse_generations,
-                       dse_max_promote, dse_population, dse_strategy,
-                       dse_top_k)
+from .settings import dse_dir
 from .space import SearchSpace, space_by_name
 
 __all__ = ["main"]
@@ -414,15 +412,16 @@ def _add_search_args(parser: argparse.ArgumentParser) -> None:
                         help="named space (smoke|edge|datacenter)")
     parser.add_argument("--space-file", default=None,
                         help="JSON SearchSpace payload (overrides --space)")
-    parser.add_argument("--strategy", default=dse_strategy(),
+    parser.add_argument("--strategy", default=SearchSpec.strategy,
                         choices=("evolve", "beam"))
-    parser.add_argument("--population", type=int, default=dse_population())
+    parser.add_argument("--population", type=int,
+                        default=SearchSpec.population)
     parser.add_argument("--generations", type=int,
-                        default=dse_generations())
-    parser.add_argument("--top-k", type=int, default=dse_top_k())
-    parser.add_argument("--epsilon", type=float, default=dse_epsilon())
+                        default=SearchSpec.generations)
+    parser.add_argument("--top-k", type=int, default=SearchSpec.top_k)
+    parser.add_argument("--epsilon", type=float, default=SearchSpec.epsilon)
     parser.add_argument("--max-promote", type=int,
-                        default=dse_max_promote())
+                        default=SearchSpec.max_promote)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--node", type=float, default=7.0,
                         help="process node (nm) for the PPA objectives")

@@ -99,9 +99,9 @@ class SearchSpec:
     strategy: str = "evolve"
     population: int = 96
     generations: int = 6
-    top_k: int = 4
-    epsilon: float = 0.02
-    max_promote: int = 24
+    top_k: int = 4               # promotion floor per generation
+    epsilon: float = 0.02        # slack around the predicted frontier
+    max_promote: int = 24        # simulation cap per generation
     seed: int = 0
     node_nm: float = 7.0
     predictor_recipe: Dict[str, object] = field(default_factory=dict)
@@ -111,6 +111,10 @@ class SearchSpec:
             raise ConfigError("population must be >= 1")
         if self.generations < 1:
             raise ConfigError("generations must be >= 1")
+        if self.top_k < 1:
+            raise ConfigError("top_k must be >= 1")
+        if not self.epsilon >= 0.0:  # NaN fails too
+            raise ConfigError("epsilon must be >= 0")
         if self.max_promote < 1:
             raise ConfigError("max_promote must be >= 1")
         strategy_by_name(self.strategy)  # validates the name

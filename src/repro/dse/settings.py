@@ -1,11 +1,15 @@
-"""Strict ``REPRO_DSE_*`` environment knobs for the search engine.
+"""The ``REPRO_DSE_*`` environment knobs: where a search writes, and a
+test-only kill switch.
 
-Same contract as the predictor/sweep knobs: unset or empty means the
-default, anything else must parse exactly or the run dies with a
-:class:`~repro.errors.ConfigError` naming the variable.  ``REPRO_DSE_KILL_AT``
-is a fault-injection knob for the resume test suite: the engine calls
-``os._exit(137)`` mid-generation when the search reaches that generation
-index, simulating a hard kill between two checkpoints.
+``REPRO_DSE_DIR`` moves the checkpoint/artifact directory.
+``REPRO_DSE_KILL_AT`` is a fault-injection knob for the resume test
+suite: the engine calls ``os._exit(137)`` mid-generation when the search
+reaches that generation index, simulating a hard kill between two
+checkpoints.  Unset or empty means the default; anything else must parse
+exactly or the run dies with a :class:`~repro.errors.ConfigError` naming
+the variable.  What a search explores (strategy, population,
+generations, promotion window) is a :class:`~repro.dse.engine.SearchSpec`
+field, never an environment knob.
 """
 
 from __future__ import annotations
@@ -13,18 +17,9 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-from ..config.env import env_choice, env_float, env_int
+from ..config.env import env_int
 
-__all__ = [
-    "dse_dir",
-    "dse_population",
-    "dse_generations",
-    "dse_top_k",
-    "dse_epsilon",
-    "dse_max_promote",
-    "dse_strategy",
-    "dse_kill_at",
-]
+__all__ = ["dse_dir", "dse_kill_at"]
 
 _ENV_DIR = "REPRO_DSE_DIR"
 _DEFAULT_DIR = os.path.join("benchmarks", "results", "dse")
@@ -34,35 +29,6 @@ def dse_dir() -> str:
     """Checkpoint/artifact directory (``REPRO_DSE_DIR`` overrides)."""
     raw = os.environ.get(_ENV_DIR)
     return raw if raw and raw.strip() else _DEFAULT_DIR
-
-
-def dse_population() -> int:
-    return env_int("REPRO_DSE_POPULATION", default=96, minimum=1)
-
-
-def dse_generations() -> int:
-    return env_int("REPRO_DSE_GENERATIONS", default=6, minimum=1)
-
-
-def dse_top_k() -> int:
-    """Floor on promotions per generation (even outside the window)."""
-    return env_int("REPRO_DSE_TOPK", default=4, minimum=1)
-
-
-def dse_epsilon() -> float:
-    """Slack window around the predicted Pareto frontier: a candidate
-    is simulated when its prediction is within ``(1 + epsilon)`` of the
-    best prediction at no-worse area and power."""
-    return env_float("REPRO_DSE_EPSILON", default=0.02, minimum=0.0)
-
-
-def dse_max_promote() -> int:
-    """Hard cap on simulations per generation."""
-    return env_int("REPRO_DSE_MAX_PROMOTE", default=24, minimum=1)
-
-
-def dse_strategy() -> str:
-    return env_choice("REPRO_DSE_STRATEGY", "evolve", ("evolve", "beam"))
 
 
 def dse_kill_at() -> Optional[int]:

@@ -12,8 +12,7 @@ cube accumulate bit, interned tag ids — so that
 * static validation is masked column reductions
   (:meth:`~repro.isa.program.Program.validate`),
 * the timing engine's prepass reads the columns directly instead of
-  dispatching per instruction object, and
-* the persistent cache serializes the columns with no object round-trip.
+  dispatching per instruction object.
 
 :class:`~repro.isa.instructions.Instruction` dataclasses survive as a
 *lazy view* (mirroring ``TraceEvent`` over the trace arena):
@@ -29,7 +28,7 @@ marks a rank-1 region; ``r_pitch == 0`` means contiguous;
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -292,7 +291,7 @@ class InstructionArena:
         """
         if self._objects is not None:
             return self._objects
-        missing = set(self._kind_set()) - _MATERIALIZABLE
+        missing = set(np.unique(self.kind).tolist()) - _MATERIALIZABLE
         if missing or not self.exact:
             raise IsaError(
                 "arena rows cannot be materialized without the original "
@@ -437,37 +436,3 @@ class InstructionArena:
                 shape = 0 if rank == 1 else (0, 3)
                 setattr(out, name, np.zeros(shape, dtype))
         return out
-
-    # -- serialization (cache artifacts) --------------------------------------
-
-    def columns(self) -> Dict[str, np.ndarray]:
-        """The raw columns, for arena-native serialization.
-
-        Raises when the arena holds rows only the retained objects could
-        rebuild — those programs must not round-trip through columns.
-        """
-        missing = set(self._kind_set()) - _MATERIALIZABLE
-        if missing or not self.exact:
-            raise IsaError(
-                f"opcode(s) {sorted(missing)} are not column-serializable "
-                f"(exact={self.exact})")
-        return {name: getattr(self, name) for name in _COLUMN_NAMES}
-
-    def _kind_set(self) -> List[int]:
-        return [int(k) for k in np.unique(self.kind)]
-
-    @classmethod
-    def from_columns(cls, columns: Dict[str, np.ndarray], tags: List[str]
-                     ) -> "InstructionArena":
-        """Rebuild an arena from :meth:`columns` output (cache load path —
-        no instruction objects are created)."""
-        n = int(len(columns["kind"]))
-        arena = cls(n, tags=list(tags))
-        for name, dtype, rank in _COLUMNS:
-            column = np.asarray(columns[name], dtype)
-            expected = (n,) if rank == 1 else (n, 3)
-            if column.shape != expected:
-                raise IsaError(f"arena column {name} has shape "
-                               f"{column.shape}, expected {expected}")
-            setattr(arena, name, column)
-        return arena

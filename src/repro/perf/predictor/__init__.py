@@ -34,7 +34,7 @@ from .dataset import (Dataset, collect_dataset, design_point_variants,
                       FULL_CORPUS, SMOKE_CORPUS, workload_class)
 from .train import (TrainReport, train_predictor, save_artifact,
                     load_artifact, try_load_artifact, default_artifact_path)
-from .settings import (predict_enabled, predict_top_k, predict_epsilon)
+from .settings import predict_enabled
 from .sweep import TriageSweepReport, triage_design_sweep
 
 __all__ = [
@@ -61,8 +61,6 @@ __all__ = [
     "try_load_artifact",
     "default_artifact_path",
     "predict_enabled",
-    "predict_top_k",
-    "predict_epsilon",
     "TriageSweepReport",
     "triage_design_sweep",
 ]

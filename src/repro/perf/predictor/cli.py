@@ -26,6 +26,7 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
+from ...bench.triage import DEFAULT_EPSILON, DEFAULT_TOP_K
 from .dataset import SMOKE_CORPUS
 from .sweep import clear_memo_tiers, private_cache_dir, \
     triage_design_sweep
@@ -178,8 +179,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     sweep.add_argument("--model", default="gesture")
     sweep.add_argument("--core", default="ascend-lite")
     sweep.add_argument("--candidates", type=int, default=200)
-    sweep.add_argument("--top-k", type=int, default=None)
-    sweep.add_argument("--epsilon", type=float, default=None)
+    sweep.add_argument("--top-k", type=int, default=DEFAULT_TOP_K)
+    sweep.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     sweep.add_argument("--seed", type=int, default=1)
     sweep.add_argument("--artifact", default=None)
     sweep.add_argument("--validate", action="store_true",

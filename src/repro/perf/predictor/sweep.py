@@ -30,13 +30,12 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...bench.triage import shortlist_indices
+from ...bench.triage import DEFAULT_EPSILON, DEFAULT_TOP_K, shortlist_indices
 from ...config.core_configs import CoreConfig, core_config_by_name
 from ...config.env import env_scope
 from .dataset import design_point_variants
 from .features import candidate_feature_matrix, config_feature_columns
 from .model import CyclePredictor, mape, p95_relative_error
-from .settings import predict_epsilon, predict_top_k
 
 __all__ = ["TriageSweepReport", "triage_design_sweep", "clear_memo_tiers",
            "private_cache_dir"]
@@ -149,8 +148,8 @@ def triage_design_sweep(predictor: CyclePredictor,
                         kwargs: Optional[dict] = None,
                         base_core: str = "ascend-lite",
                         n_candidates: int = 200,
-                        top_k: Optional[int] = None,
-                        epsilon: Optional[float] = None,
+                        top_k: int = DEFAULT_TOP_K,
+                        epsilon: float = DEFAULT_EPSILON,
                         seed: int = 1,
                         validate: bool = False,
                         max_workers: Optional[int] = None
@@ -166,8 +165,6 @@ def triage_design_sweep(predictor: CyclePredictor,
     from ...models import build_model
 
     kwargs = kwargs or {}
-    top_k = top_k if top_k is not None else predict_top_k()
-    epsilon = epsilon if epsilon is not None else predict_epsilon()
     base = core_config_by_name(base_core)
     configs = design_point_variants(base, n_candidates, seed=seed,
                                     include_base=False)

@@ -34,7 +34,8 @@ from ..config.core_configs import core_config_by_name
 from ..config.soc_configs import soc_config_by_name
 from ..errors import ConfigError, ReproError
 from ..models.gpt import GPT_MEDIUM, GPT_SMALL, GPT_TINY, GptConfig
-from .scheduler import MODES, ServeReport, ServeSpec, simulate_serving
+from .scheduler import (MODES, POLICIES, ServeReport, ServeSpec,
+                        simulate_serving)
 from .stepcost import StepCostModel, bucket_pow2
 from .traffic import TenantSpec
 
@@ -282,10 +283,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     run.add_argument("--core", default=None,
                      help="core config (default: the SoC's first group)")
     run.add_argument("--mode", default="continuous", choices=MODES)
-    run.add_argument("--policy", default=None, choices=("fcfs", "spf"),
-                     help="admission order (default: REPRO_SERVE_POLICY)")
-    run.add_argument("--max-batch", type=int, default=None)
-    run.add_argument("--kv-fraction", type=float, default=None)
+    run.add_argument("--policy", default=ServeSpec.policy, choices=POLICIES,
+                     help="admission order (default: %(default)s)")
+    run.add_argument("--max-batch", type=int, default=ServeSpec.max_batch)
+    run.add_argument("--kv-fraction", type=float,
+                     default=ServeSpec.kv_fraction)
     run.add_argument("--requests", type=int, default=1000,
                      help="requests per tenant")
     run.add_argument("--rate-scale", type=float, default=1.0,

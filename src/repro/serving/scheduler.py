@@ -40,22 +40,25 @@ from ..profiling.manifest import RunManifest
 from .kvcache import KvCapacity, KvLedger
 from .metrics import latency_summary
 from .request import Request, RequestState
-from .settings import (POLICIES, serve_kv_fraction, serve_max_batch,
-                       serve_policy)
 from .stepcost import StepCostModel
 from .traffic import TenantSpec, generate_trace
 
-__all__ = ["ServeSpec", "ServeReport", "simulate_serving", "MODES"]
+__all__ = ["ServeSpec", "ServeReport", "simulate_serving", "MODES",
+           "POLICIES"]
 
 MODES = ("continuous", "static")
+POLICIES = ("fcfs", "spf")
 
 
 @dataclass(frozen=True)
 class ServeSpec:
     """One serving campaign: model x design point x tenants x knobs.
 
-    ``policy`` / ``max_batch`` / ``kv_fraction`` default to the
-    ``REPRO_SERVE_*`` environment knobs when left ``None``.
+    ``policy`` is the admission order (``fcfs`` arrival order or ``spf``
+    shortest-prefill-first), ``max_batch`` the in-flight request ceiling
+    per engine iteration, and ``kv_fraction`` the share of post-weight
+    DRAM the KV cache may occupy.  They are plain fields: no environment
+    variable fills or overrides them.
     """
 
     model: GptConfig
@@ -63,28 +66,19 @@ class ServeSpec:
     soc: SocConfig
     tenants: Tuple[TenantSpec, ...]
     seed: int = 0
-    policy: Optional[str] = None
-    max_batch: Optional[int] = None
-    kv_fraction: Optional[float] = None
+    policy: str = "fcfs"
+    max_batch: int = 32
+    kv_fraction: float = 0.3
     dtype: DType = FP16
 
     def __post_init__(self) -> None:
         if not self.tenants:
             raise ConfigError("a serving campaign needs at least one tenant")
-        if self.policy is not None and self.policy not in POLICIES:
+        if self.policy not in POLICIES:
             raise ConfigError(
                 f"unknown policy {self.policy!r}; known: {POLICIES}")
-        if self.max_batch is not None and self.max_batch < 1:
+        if self.max_batch < 1:
             raise ConfigError("max_batch must be >= 1")
-
-    def resolved(self) -> Tuple[str, int, float]:
-        return (
-            self.policy if self.policy is not None else serve_policy(),
-            self.max_batch if self.max_batch is not None
-            else serve_max_batch(),
-            self.kv_fraction if self.kv_fraction is not None
-            else serve_kv_fraction(),
-        )
 
 
 @dataclass
@@ -169,11 +163,10 @@ class _Campaign:
             raise ConfigError(f"unknown serving mode {mode!r}; known: {MODES}")
         self.spec = spec
         self.mode = mode
-        self.policy, self.max_batch, kv_fraction = spec.resolved()
         self.cost = cost_model if cost_model is not None else StepCostModel(
             spec.model, spec.core, dtype=spec.dtype)
         self.capacity = KvCapacity.for_design_point(
-            spec.model, spec.core, spec.soc, kv_fraction, spec.dtype)
+            spec.model, spec.core, spec.soc, spec.kv_fraction, spec.dtype)
         self.ledger = KvLedger(self.capacity, spec.tenants)
         self.trace = list(trace) if trace is not None else generate_trace(
             spec.tenants, spec.seed, spec.core.frequency_hz)
@@ -186,7 +179,7 @@ class _Campaign:
         self.iterations = 0
         self.prefill_steps = 0
         self.decode_steps = 0
-        self._sort_key = _policy_key(self.policy)
+        self._sort_key = _policy_key(spec.policy)
         # The admission queue: one FIFO per request class, the number of
         # queued requests, and each tenant's queued KV bytes (the QoS
         # demand), all kept current on arrival, admission and rejection.
@@ -258,7 +251,7 @@ class _Campaign:
         An infeasible request is rejected when the merge reaches it
         while slots remain — the same moment a full scan would.
         """
-        slots = self.max_batch - len(self.running)
+        slots = self.spec.max_batch - len(self.running)
         if slots <= 0 or not self._queued:
             return
         budgets = self._qos_budgets()
@@ -454,12 +447,12 @@ class _Campaign:
         payload: Dict[str, object] = {
             "schema": 1,
             "mode": self.mode,
-            "policy": self.policy,
+            "policy": self.spec.policy,
             "seed": self.spec.seed,
             "model": self.spec.model.name,
             "core": self.spec.core.name,
             "soc": self.spec.soc.name,
-            "max_batch": self.max_batch,
+            "max_batch": self.spec.max_batch,
             "cost_tier": ("predicted"
                           if getattr(self.cost, "use_predictor", False)
                           else "simulated"),
@@ -491,7 +484,7 @@ class _Campaign:
             manifest = RunManifest.collect(
                 model=self.spec.model.name,
                 config=f"{self.spec.core.name}/{self.spec.soc.name}",
-                extras={"mode": self.mode, "policy": self.policy,
+                extras={"mode": self.mode, "policy": self.spec.policy,
                         "seed": self.spec.seed,
                         "tenants": names,
                         "offered": len(self.trace)},

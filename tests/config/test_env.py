@@ -9,7 +9,7 @@ quietly change behavior.
 import pytest
 
 from repro.bench.runner import sweep_workers
-from repro.config.env import env_choice, env_flag, env_float, env_int
+from repro.config.env import env_flag, env_float, env_int
 from repro.errors import ConfigError
 
 _VAR = "REPRO_TEST_KNOB"
@@ -75,15 +75,6 @@ class TestEnvFlagAndChoice:
             monkeypatch.setenv(_VAR, raw)
             with pytest.raises(ConfigError, match=_VAR):
                 env_flag(_VAR)
-
-    def test_choice_validates_and_lists_options(self, monkeypatch):
-        monkeypatch.setenv(_VAR, "arena")
-        assert env_choice(_VAR, "objects", ("arena", "objects")) == "arena"
-        monkeypatch.setenv(_VAR, "aerna")
-        with pytest.raises(ConfigError, match="'arena', 'objects'"):
-            env_choice(_VAR, "objects", ("arena", "objects"))
-        monkeypatch.setenv(_VAR, "")
-        assert env_choice(_VAR, "objects", ("arena", "objects")) == "objects"
 
 
 class TestWorkerKnobsIntegration:

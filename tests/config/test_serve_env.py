@@ -1,91 +1,25 @@
-"""Strict parsing of the serving environment knobs.
+"""Strict parsing of the ``REPRO_SERVE_PREDICT`` switch.
 
 Same contract as ``test_env.py`` / ``test_sweep_env.py``: a mistyped
-``REPRO_SERVE_*`` value must raise
-:class:`~repro.errors.ConfigError` naming the variable, never silently
-change which campaign gets measured; unset knobs mean the built-in
-defaults, byte-identically.
+value must raise :class:`~repro.errors.ConfigError` naming the variable,
+never silently change which campaign gets measured; unset means the
+built-in default.
 """
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.serving.settings import (DEFAULT_KV_FRACTION, DEFAULT_MAX_BATCH,
-                                    DEFAULT_POLICY, serve_kv_fraction,
-                                    serve_max_batch, serve_policy,
-                                    serve_predict)
-
-KNOBS = ("REPRO_SERVE_POLICY", "REPRO_SERVE_MAX_BATCH",
-         "REPRO_SERVE_KV_FRACTION", "REPRO_SERVE_PREDICT")
+from repro.serving.settings import serve_predict
 
 
 @pytest.fixture(autouse=True)
 def _clean_knobs(monkeypatch):
-    for var in KNOBS:
-        monkeypatch.delenv(var, raising=False)
+    monkeypatch.delenv("REPRO_SERVE_PREDICT", raising=False)
 
 
 class TestDefaults:
     def test_unset_means_defaults(self):
-        assert serve_policy() == DEFAULT_POLICY == "fcfs"
-        assert serve_max_batch() == DEFAULT_MAX_BATCH == 32
-        assert serve_kv_fraction() == DEFAULT_KV_FRACTION == 0.3
         assert serve_predict() is False
-
-
-class TestPolicy:
-    @pytest.mark.parametrize("value", ["fcfs", "spf"])
-    def test_valid(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_SERVE_POLICY", value)
-        assert serve_policy() == value
-
-    @pytest.mark.parametrize("garbage", ["FCFS", "sjf", "round-robin", "1"])
-    def test_garbage_raises_naming_the_variable(self, monkeypatch, garbage):
-        monkeypatch.setenv("REPRO_SERVE_POLICY", garbage)
-        with pytest.raises(ConfigError, match="REPRO_SERVE_POLICY"):
-            serve_policy()
-
-
-class TestMaxBatch:
-    def test_valid(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "8")
-        assert serve_max_batch() == 8
-
-    def test_blank_means_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "  ")
-        assert serve_max_batch() == DEFAULT_MAX_BATCH
-
-    @pytest.mark.parametrize("garbage", ["eight", "2.5", "4x", "0x8"])
-    def test_garbage_raises(self, monkeypatch, garbage):
-        monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", garbage)
-        with pytest.raises(ConfigError, match="REPRO_SERVE_MAX_BATCH"):
-            serve_max_batch()
-
-    @pytest.mark.parametrize("bad", ["0", "-4"])
-    def test_below_one_raises(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", bad)
-        with pytest.raises(ConfigError, match="REPRO_SERVE_MAX_BATCH"):
-            serve_max_batch()
-
-
-class TestKvFraction:
-    @pytest.mark.parametrize("value,expected", [
-        ("0", 0.0), ("0.5", 0.5), ("1", 1.0)])
-    def test_valid(self, monkeypatch, value, expected):
-        monkeypatch.setenv("REPRO_SERVE_KV_FRACTION", value)
-        assert serve_kv_fraction() == expected
-
-    @pytest.mark.parametrize("garbage", ["half", "30%", "inf", "0.3.1"])
-    def test_garbage_raises(self, monkeypatch, garbage):
-        monkeypatch.setenv("REPRO_SERVE_KV_FRACTION", garbage)
-        with pytest.raises(ConfigError, match="REPRO_SERVE_KV_FRACTION"):
-            serve_kv_fraction()
-
-    @pytest.mark.parametrize("bad", ["-0.1", "1.5"])
-    def test_out_of_range_raises(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_SERVE_KV_FRACTION", bad)
-        with pytest.raises(ConfigError, match="REPRO_SERVE_KV_FRACTION"):
-            serve_kv_fraction()
 
 
 class TestPredictFlag:

@@ -59,6 +59,19 @@ class TestSearchSpec:
         with pytest.raises(ConfigError):
             _spec(strategy="gradient-descent")
 
+    @pytest.mark.parametrize("field, value", [
+        ("top_k", 0), ("top_k", -3), ("epsilon", -1.0),
+        ("epsilon", float("nan"))])
+    def test_empty_promotion_window_rejected(self, field, value):
+        # top_k < 1 with a negative epsilon promotes nothing: the search
+        # would simulate no candidate and still "finish".
+        with pytest.raises(ConfigError, match=field):
+            _spec(**{field: value})
+        payload = _spec().to_dict()
+        payload[field] = value
+        with pytest.raises(ConfigError, match=field):
+            SearchSpec.from_dict(payload)
+
 
 class TestSearchRun:
     def test_wide_open_promotion_reproduces_brute_force(self, predictor,

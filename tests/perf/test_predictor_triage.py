@@ -1,5 +1,5 @@
 """Triage semantics: what gets simulated, what gets skipped, and the
-strict ``REPRO_PREDICT*`` environment contract.
+strict ``REPRO_PREDICT`` environment contract.
 
 The shortlist policy is pure code (no model involved), so it is tested
 exhaustively here with hand-built predictions; the end-to-end accuracy
@@ -12,8 +12,7 @@ import pytest
 
 from repro.bench import TriageResult, shortlist_indices, triage_sweep
 from repro.errors import ConfigError
-from repro.perf.predictor.settings import (predict_enabled, predict_epsilon,
-                                           predict_top_k)
+from repro.perf.predictor.settings import predict_enabled
 
 
 def _double(job):
@@ -122,22 +121,11 @@ class TestTriageSweep:
             triage_sweep([1, 2], _double, predicted=[1.0], top_k=1,
                          epsilon=0.0, max_workers=1)
 
-    def test_env_defaults_apply(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PREDICT_TOPK", "3")
-        monkeypatch.setenv("REPRO_PREDICT_EPSILON", "0")
-        result = triage_sweep([1, 2, 3, 4], _double,
-                              predicted=[1.0, 2.0, 3.0, 4.0], max_workers=1)
-        assert result.shortlist == [0, 1, 2]
-
 
 class TestEnvKnobs:
     def test_defaults(self, monkeypatch):
-        for name in ("REPRO_PREDICT", "REPRO_PREDICT_TOPK",
-                     "REPRO_PREDICT_EPSILON"):
-            monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv("REPRO_PREDICT", raising=False)
         assert predict_enabled() is False
-        assert predict_top_k() == 8
-        assert predict_epsilon() == 0.05
 
     def test_enable_flag(self, monkeypatch):
         monkeypatch.setenv("REPRO_PREDICT", "1")
@@ -145,15 +133,8 @@ class TestEnvKnobs:
 
     @pytest.mark.parametrize("name, value", [
         ("REPRO_PREDICT", "maybe"),
-        ("REPRO_PREDICT_TOPK", "eight"),
-        ("REPRO_PREDICT_TOPK", "0"),
-        ("REPRO_PREDICT_EPSILON", "-0.5"),
-        ("REPRO_PREDICT_EPSILON", "lots"),
     ])
     def test_garbage_is_a_config_error(self, monkeypatch, name, value):
         monkeypatch.setenv(name, value)
-        reader = {"REPRO_PREDICT": predict_enabled,
-                  "REPRO_PREDICT_TOPK": predict_top_k,
-                  "REPRO_PREDICT_EPSILON": predict_epsilon}[name]
         with pytest.raises(ConfigError):
-            reader()
+            predict_enabled()

@@ -48,7 +48,7 @@ class ReferenceCampaign(_Campaign):
         return dict(self.ledger.arbiter.arbitrate(ordered).granted)
 
     def _admit(self) -> None:
-        slots = self.max_batch - len(self.running)
+        slots = self.spec.max_batch - len(self.running)
         if slots <= 0 or not self.pending:
             return
         self.pending.sort(key=self._sort_key)

@@ -116,6 +116,13 @@ class TestContinuousVsStatic:
         with pytest.raises(ConfigError, match="mode"):
             _run(_spec(LOADED), mode="clairvoyant")
 
+    @pytest.mark.parametrize("field, value", [
+        ("policy", "sjf"), ("policy", "FCFS"), ("max_batch", 0),
+        ("max_batch", -4)])
+    def test_bad_spec_field_raises(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            _spec(LOADED, **{field: value})
+
 
 class TestPolicies:
     """Two tenants, one long prompt arriving just before one short
